@@ -3,14 +3,15 @@
 // large a --scale the experiment benches can afford.
 //
 // The Legacy* benchmarks reproduce the seed implementation's event queue
-// (std::push_heap/std::pop_heap binary heap, one pop per event) so the
-// index-based 4-ary heap + same-timestamp batch pop in Engine is *measured*
-// against its predecessor, not asserted: compare BM_Legacy<X> with
-// BM_Engine<X> items_per_second on the same workload.
+// (std::push_heap/std::pop_heap binary heap, one pop per event) so Engine's
+// calendar queue is *measured* against its predecessor, not asserted:
+// compare BM_Legacy<X> with BM_Engine<X> items_per_second on the same
+// workload.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -263,7 +264,7 @@ BENCHMARK(BM_LegacySteadyState)
     ->Unit(benchmark::kMillisecond);
 
 /// Same-timestamp floods: many events per distinct time, the shape produced
-/// by synchronised collectives. Exercises Engine::run's batch pop.
+/// by synchronised collectives: each timestamp fills one calendar bucket.
 void BM_EngineSameTimeFlood(benchmark::State& state) {
   const int timestamps = 1000;
   const int per_timestamp = static_cast<int>(state.range(0));
@@ -303,6 +304,91 @@ void BM_LegacySameTimeFlood(benchmark::State& state) {
                           per_timestamp);
 }
 BENCHMARK(BM_LegacySameTimeFlood)->Arg(16)->Arg(128)->Unit(benchmark::kMillisecond);
+
+/// The classic "hold" model at the network's delay mix: every event
+/// schedules one successor after a router pipeline (100 ns), a local link
+/// (30 ns), a global link (300 ns), a terminal link (30 ns) or one packet's
+/// serialisation (20.48 ns), so the queue stays at a constant depth. The
+/// depths bracket the peak pending-event counts the perfbench workloads
+/// reach (~5k to ~55k). Delays are picked by an LCG carried in the event
+/// payload, so Engine and LegacyEngine replay the same event sequence.
+constexpr std::array<SimTime, 5> kHoldDelays{100 * kNs, 30 * kNs, 300 * kNs, 30 * kNs, 20480};
+constexpr std::uint64_t kHoldOps = 1000000;
+
+std::uint64_t next_hold(std::uint64_t a) {
+  return a * 6364136223846793005ull + 1442695040888963407ull;
+}
+SimTime hold_delay(std::uint64_t a) { return kHoldDelays[(a >> 33) % kHoldDelays.size()]; }
+
+class HoldComponent final : public Component {
+ public:
+  std::uint64_t remaining{0};
+  void handle(Engine& engine, const Event& event) override {
+    if (remaining == 0) return;
+    --remaining;
+    engine.schedule_in(hold_delay(event.a), *this, 0, next_hold(event.a));
+  }
+};
+
+void BM_EngineHold(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  EngineStats engine_stats;
+  for (auto _ : state) {
+    Engine engine;
+    HoldComponent component;
+    component.remaining = kHoldOps;
+    Rng rng(3);
+    for (int i = 0; i < depth; ++i) {
+      engine.schedule_at(static_cast<SimTime>(rng.next_below(300 * kNs)), component, 0,
+                         rng());
+    }
+    engine.run();
+    engine_stats = engine.stats();
+  }
+  report_engine_stats(state, engine_stats);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kHoldOps + static_cast<std::uint64_t>(depth)));
+}
+BENCHMARK(BM_EngineHold)
+    ->Arg(5000)
+    ->Arg(14000)
+    ->Arg(27500)
+    ->Arg(55000)
+    ->Unit(benchmark::kMillisecond);
+
+class LegacyHoldSink final : public LegacyEngine::Sink {
+ public:
+  std::uint64_t remaining{0};
+  void on_event(LegacyEngine& engine, const Event& event) override {
+    if (remaining == 0) return;
+    --remaining;
+    engine.schedule_at(engine.now() + hold_delay(event.a), *this, 0, next_hold(event.a));
+  }
+};
+
+/// Baseline for BM_EngineHold on the seed's binary heap.
+void BM_LegacyHold(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    LegacyEngine engine;
+    LegacyHoldSink sink;
+    sink.remaining = kHoldOps;
+    Rng rng(3);
+    for (int i = 0; i < depth; ++i) {
+      engine.schedule_at(static_cast<SimTime>(rng.next_below(300 * kNs)), sink, 0,
+                         rng());
+    }
+    engine.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kHoldOps + static_cast<std::uint64_t>(depth)));
+}
+BENCHMARK(BM_LegacyHold)
+    ->Arg(5000)
+    ->Arg(14000)
+    ->Arg(27500)
+    ->Arg(55000)
+    ->Unit(benchmark::kMillisecond);
 
 /// End-to-end packet rate: uniform-random traffic on the tiny system.
 void BM_NetworkPacketRate(benchmark::State& state) {

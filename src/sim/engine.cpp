@@ -1,6 +1,9 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "sim/pdes.hpp"
@@ -85,6 +88,145 @@ void Engine::release_closure(std::uint32_t slot) {
 }
 
 void Engine::push(HeapKey key, Payload load) {
+  const std::int64_t ahead = (key_when(key) >> kBucketShift) - cur_bucket_;
+  if (ahead >= kBuckets) {
+    overflow_push(key, load);
+  } else if (ahead > 0) {
+    link(new_node(key, load));
+  } else {
+    insert_current(new_node(key, load));
+  }
+  if (++queued_ > peak_queued_) peak_queued_ = queued_;
+}
+
+std::uint32_t Engine::new_node(HeapKey key, const Payload& load) {
+  std::uint32_t node = free_node_;
+  if (node != kNil) {
+    free_node_ = next_[node];
+    nodes_[node] = Entry{key, load};
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Entry{key, load});
+    next_.push_back(kNil);
+  }
+  return node;
+}
+
+void Engine::alloc_ring() {
+  heads_.assign(static_cast<std::size_t>(kBuckets), kNil);
+  bits_.assign(kBitWords, 0);
+}
+
+void Engine::link(std::uint32_t node) {
+  if (heads_.empty()) alloc_ring();  // first ring event
+  const std::size_t bucket =
+      static_cast<std::size_t>((key_when(nodes_[node].key) >> kBucketShift) & (kBuckets - 1));
+  next_[node] = heads_[bucket];
+  heads_[bucket] = node;
+  const std::size_t word = bucket / 64;
+  bits_[word] |= std::uint64_t{1} << (bucket % 64);
+  summary_[word / 64] |= std::uint64_t{1} << (word % 64);
+  ++ring_count_;
+}
+
+void Engine::insert_current(std::uint32_t node) {
+  // New events usually sort after every pending one (same time, larger
+  // seq), so the insertion point is almost always the end.
+  const HeapKey key = nodes_[node].key;
+  const auto pending = cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_);
+  cur_.insert(std::upper_bound(pending, cur_.end(), key,
+                               [this](HeapKey k, std::uint32_t n) { return k < nodes_[n].key; }),
+              node);
+}
+
+std::int64_t Engine::next_ring_bucket() const {
+  // Scan the occupancy bits from the bucket after the current one to the
+  // end of the ring, then wrap to its start; the summary words skip runs of
+  // empty bit words. The current bucket's own ring slot is always empty.
+  const auto first_set = [this](std::size_t from) -> std::size_t {
+    std::size_t word = from / 64;
+    const std::uint64_t bits = bits_[word] & (~std::uint64_t{0} << (from % 64));
+    if (bits != 0) return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    if (++word == kBitWords) return kBitWords * 64;
+    std::size_t group = word / 64;
+    std::uint64_t words = summary_[group] & (~std::uint64_t{0} << (word % 64));
+    while (words == 0) {
+      if (++group == summary_.size()) return kBitWords * 64;
+      words = summary_[group];
+    }
+    word = group * 64 + static_cast<std::size_t>(std::countr_zero(words));
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits_[word]));
+  };
+  const std::size_t start = static_cast<std::size_t>((cur_bucket_ + 1) & (kBuckets - 1));
+  std::size_t slot = first_set(start);
+  if (slot == kBitWords * 64) slot = first_set(0);
+  return cur_bucket_ + 1 +
+         static_cast<std::int64_t>((slot - start) & static_cast<std::size_t>(kBuckets - 1));
+}
+
+bool Engine::refill(SimTime until) {
+  std::int64_t bucket;
+  if (ring_count_ > 0) {
+    bucket = next_ring_bucket();
+  } else if (!keys_.empty()) {
+    bucket = key_when(keys_.front()) >> kBucketShift;  // jump over the empty ring
+  } else {
+    return false;
+  }
+  // Leave the calendar where it is when the next bucket starts after
+  // `until`, so events scheduled before it still land in the ring.
+  if ((bucket << kBucketShift) > until) return false;
+  cur_bucket_ = bucket;
+  // Overflow events the advanced ring now covers move into it (after a
+  // jump, the earliest lands in the new current bucket's own slot, which is
+  // drained just below). Every overflow event is later than every ring
+  // event, so none precedes cur_.
+  while (!keys_.empty() && (key_when(keys_.front()) >> kBucketShift) - bucket < kBuckets) {
+    const Entry entry = pop_min();
+    link(new_node(entry.key, entry.load));
+  }
+  // Move the bucket's list into cur_, prefetching each node so the sort's
+  // key loads overlap instead of queueing behind one another.
+  const std::size_t slot = static_cast<std::size_t>(bucket & (kBuckets - 1));
+  for (std::uint32_t node = heads_[slot]; node != kNil; node = next_[node]) {
+    __builtin_prefetch(&nodes_[node]);
+    cur_.push_back(node);
+    --ring_count_;
+  }
+  heads_[slot] = kNil;
+  const std::size_t word = slot / 64;
+  bits_[word] &= ~(std::uint64_t{1} << (slot % 64));
+  if (bits_[word] == 0) summary_[word / 64] &= ~(std::uint64_t{1} << (word % 64));
+  std::sort(cur_.begin(), cur_.end(),
+            [this](std::uint32_t x, std::uint32_t y) { return nodes_[x].key < nodes_[y].key; });
+  return true;
+}
+
+Engine::Entry Engine::pop_front() {
+  const std::uint32_t node = cur_[cur_pos_];
+  if (++cur_pos_ == cur_.size()) {
+    cur_.clear();
+    cur_pos_ = 0;
+  }
+  const Entry entry = nodes_[node];
+  next_[node] = free_node_;
+  free_node_ = node;
+  --queued_;
+  return entry;
+}
+
+SimTime Engine::next_time() const {
+  if (!cur_.empty()) return key_when(nodes_[cur_[cur_pos_]].key);
+  if (ring_count_ == 0) return key_when(keys_.front());
+  const std::size_t slot = static_cast<std::size_t>(next_ring_bucket() & (kBuckets - 1));
+  SimTime earliest = key_when(nodes_[heads_[slot]].key);
+  for (std::uint32_t node = next_[heads_[slot]]; node != kNil; node = next_[node]) {
+    earliest = std::min(earliest, key_when(nodes_[node].key));
+  }
+  return earliest;
+}
+
+void Engine::overflow_push(HeapKey key, const Payload& load) {
   // Grow both arrays together (and skip the tiny-doubling phase) so the two
   // vectors reallocate in lockstep instead of twice as often as one.
   if (keys_.size() == keys_.capacity()) {
@@ -94,7 +236,6 @@ void Engine::push(HeapKey key, Payload load) {
   }
   keys_.push_back(key);
   payloads_.push_back(load);
-  if (keys_.size() > peak_queued_) peak_queued_ = keys_.size();
   sift_up(keys_.size() - 1);
 }
 
@@ -163,52 +304,17 @@ void Engine::dispatch(const Entry& entry) {
 }
 
 bool Engine::step() {
-  if (batch_pos_ < batch_.size()) {  // inside a run() batch (handler re-entry)
-    dispatch(batch_[batch_pos_++]);
-    return true;
-  }
-  if (keys_.empty()) return false;
-  dispatch(pop_min());
+  if (!has_front(std::numeric_limits<SimTime>::max())) return false;
+  dispatch(pop_front());
   return true;
 }
 
 std::uint64_t Engine::run(SimTime until) {
   std::uint64_t count = 0;
-  // Resume a batch interrupted by a throwing handler or a re-entrant run():
-  // its events were already popped and precede everything in the heap, so
-  // they dispatch first regardless of `until`.
-  while (batch_pos_ < batch_.size()) {
+  while (has_front(until) && key_when(nodes_[cur_[cur_pos_]].key) <= until) {
     check_wall_deadline();
-    dispatch(batch_[batch_pos_++]);
+    dispatch(pop_front());
     ++count;
-  }
-  while (!keys_.empty() && key_when(keys_.front()) <= until) {
-    check_wall_deadline();
-    const Entry entry = pop_min();
-    const SimTime when = key_when(entry.key);
-    if (keys_.empty() || key_when(keys_.front()) != when) {
-      // Unique timestamp (the common case for packet traffic): dispatch
-      // directly, no batch bookkeeping.
-      dispatch(entry);
-      ++count;
-      continue;
-    }
-    // Same-timestamp batch: drain every event at this timestamp before any
-    // of them executes. pop_min yields them in seq order, and each pop
-    // shrinks the heap before the next sift, so ties cost one short sift
-    // each instead of sifts interleaved with the pushes their handlers
-    // perform. Events that handlers schedule at this same timestamp carry
-    // larger seqs and join the next batch, preserving FIFO order.
-    batch_.clear();
-    batch_pos_ = 0;
-    batch_.push_back(entry);
-    do {
-      batch_.push_back(pop_min());
-    } while (!keys_.empty() && key_when(keys_.front()) == when);
-    while (batch_pos_ < batch_.size()) {
-      dispatch(batch_[batch_pos_++]);
-      ++count;
-    }
   }
   // Time only advances with events: when the queue drains before `until`,
   // now() stays at the last executed event (see header).
@@ -216,10 +322,21 @@ std::uint64_t Engine::run(SimTime until) {
 }
 
 void Engine::clear() {
+  nodes_.clear();
+  next_.clear();
+  free_node_ = kNil;
+  if (ring_count_ > 0) {
+    std::fill(heads_.begin(), heads_.end(), kNil);
+    std::fill(bits_.begin(), bits_.end(), 0);
+    summary_.fill(0);
+    ring_count_ = 0;
+  }
+  cur_.clear();
+  cur_pos_ = 0;
+  cur_bucket_ = -1;
+  queued_ = 0;
   keys_.clear();
   payloads_.clear();
-  batch_.clear();
-  batch_pos_ = 0;
   // Disarm every pending closure (destroying captures) but keep the pooled
   // adapters; rebuild the free list from scratch so no slot appears twice.
   // Descending order makes a cleared engine hand out slots 0, 1, 2, ... again
@@ -247,6 +364,10 @@ void Engine::reset() {
 }
 
 void Engine::reserve(std::size_t events, std::size_t closures) {
+  if (heads_.empty()) alloc_ring();
+  nodes_.reserve(events);
+  next_.reserve(events);
+  cur_.reserve(events);
   if (keys_.capacity() < events) {
     keys_.reserve(events);
     payloads_.reserve(events);

@@ -59,13 +59,17 @@ class WallDeadlineExceeded : public std::runtime_error {
 /// Ordering: events fire in (when, seq) order where seq is the global
 /// scheduling order, i.e. same-time events fire in the order scheduled.
 ///
-/// The pending-event queue is an index-based 4-ary min-heap (not the
-/// std::push_heap binary heap), split into a key array ((when, seq), 16
-/// bytes) and a payload array (target/kind/a/b): half the depth of a binary
-/// heap, and the four children compared at each sift level share one cache
-/// line, so both schedule and pop touch fewer lines on the multi-million-
-/// event runs that dominate a study. run() additionally drains all events
-/// carrying the same timestamp in one batch (see run()).
+/// The pending-event queue is an exact-order calendar queue. A ring of
+/// kBuckets fixed-width (kBucketPs) time buckets covers the ~2.1 µs after
+/// the current bucket — longer than a router pipeline plus a global link
+/// plus a packet's serialisation, so nearly every network event lands in
+/// it. Ring buckets are unsorted singly-linked lists of pooled nodes (memory
+/// follows the pending-event count, not the bucket count), and a two-level
+/// occupancy bitmap finds the next non-empty one. When the queue reaches a
+/// bucket it sorts that bucket on the full (when, seq) key; events scheduled
+/// into the current bucket are inserted in order. Events beyond the ring
+/// wait in a 4-ary min-heap and move into the ring as it advances. Keys are
+/// unique, so the pop order is exactly (when, seq) by construction.
 ///
 /// Thread-safety: none — an Engine, like every component scheduled on it,
 /// belongs to exactly one simulation cell. Parallel sweeps (ParallelRunner)
@@ -93,7 +97,7 @@ class Engine {
   /// When this engine is one domain of a group-partitioned parallel cell
   /// (src/sim/pdes.hpp), the call is routed through the cell so cross-domain
   /// events land in the creating domain's emission log instead of a foreign
-  /// heap; the sequential path pays one predicted-not-taken branch.
+  /// queue; the sequential path pays one predicted-not-taken branch.
   void schedule_at(SimTime when, Component& target, std::uint32_t kind,
                    std::uint64_t a = 0, std::uint64_t b = 0);
 
@@ -122,37 +126,36 @@ class Engine {
   /// therefore schedule "at now()" after a drained run without time
   /// travelling, and makespan == now() is exact.
   ///
-  /// All events sharing the front timestamp are popped in one batch before
-  /// any of them executes, so the heap is not re-sifted between same-time
-  /// events; events their handlers schedule at the same timestamp join the
-  /// next batch (their seq is larger than every already-popped event, so
-  /// FIFO order is preserved).
+  /// Each event leaves the queue before its handler runs, so a handler may
+  /// schedule, clear(), step() or throw: a later run() continues with the
+  /// next pending event.
   std::uint64_t run(SimTime until = kSec * 3600);
 
   /// Execute at most one event; returns false when the queue is empty.
   bool step();
 
   bool empty() const { return queued() == 0; }
-  std::size_t queued() const { return keys_.size() + (batch_.size() - batch_pos_); }
+  std::size_t queued() const { return queued_; }
   std::uint64_t executed() const { return executed_; }
 
   /// Drop every pending event (used by tests and by teardown). Safe to call
-  /// from inside a handler: the rest of the current same-time batch is
-  /// dropped too. Armed closures are disarmed (their captures destroyed) but
+  /// from inside a handler. Armed closures are disarmed (their captures destroyed) but
   /// their pooled slot adapters are kept for reuse.
   void clear();
 
   /// Return the engine to its just-constructed state — clock at 0, sequence
   /// and executed counters zeroed, queue empty — while KEEPING every piece of
-  /// backing storage: the heap key/payload arrays, the same-time batch
-  /// scratch, and the pooled closure slots with their free list. A reused
+  /// backing storage: the node pool, the bucket ring and bitmap, the
+  /// current-bucket and overflow arrays, and the pooled closure slots with
+  /// their free list. A reused
   /// engine therefore replays a same-shape cell without re-growing from
   /// empty (see core/arena.hpp). Per-cell peak counters are zeroed too.
   void reset();
 
-  /// Pre-size the queue for `events` concurrently-pending events and pool
-  /// `closures` slot adapters, so a run that stays within these bounds never
-  /// allocates from schedule_at/call_at.
+  /// Pre-size the queue for `events` concurrently-pending events (node pool,
+  /// bucket ring, current-bucket and overflow arrays) and pool `closures`
+  /// slot adapters, so a run that stays within these bounds never allocates
+  /// from schedule_at/call_at/run.
   void reserve(std::size_t events, std::size_t closures = 0);
 
   /// Arm a cooperative wall-clock watchdog: run() checks the real clock every
@@ -192,17 +195,16 @@ class Engine {
   /// High-water mark of concurrently-queued events since construction or the
   /// last reset() (sizes the next cell's reserve carry-forward).
   std::size_t peak_queued() const { return peak_queued_; }
-  /// Current key/payload array capacity (events the queue holds alloc-free).
-  std::size_t event_capacity() const { return keys_.capacity(); }
+  /// Node pool capacity (events the calendar ring holds alloc-free).
+  std::size_t event_capacity() const { return nodes_.capacity(); }
   /// Pooled closure slot adapters (live + free).
   std::size_t closure_capacity() const { return closures_.size(); }
 
  private:
-  /// Heap ordering key: (when, seq) packed into one 128-bit integer, `when`
-  /// in the high 64 bits (event times are never negative, so the unsigned
-  /// reinterpretation preserves order). A sift comparison is one branchless
-  /// integer compare, and the four children examined at each level span a
-  /// single cache line. Same __uint128_t extension Rng already relies on.
+  /// Ordering key: (when, seq) packed into one 128-bit integer, `when` in the
+  /// high 64 bits (event times are never negative, so the unsigned
+  /// reinterpretation preserves order). A comparison is one branchless
+  /// integer compare. Same __uint128_t extension Rng already relies on.
   using HeapKey = __uint128_t;
 
   static HeapKey make_key(SimTime when, std::uint64_t seq) {
@@ -218,15 +220,36 @@ class Engine {
     std::uint32_t kind;
     std::uint64_t a, b;
   };
-  /// A popped event (key + payload reunited).
+  /// One event: a calendar node's contents, or a popped event.
   struct Entry {
     HeapKey key;
     Payload load;
   };
 
+  /// Calendar geometry: 2^15 buckets of 64 ps cover ~2.1 µs ahead of the
+  /// current bucket.
+  static constexpr int kBucketShift = 6;
+  static constexpr std::int64_t kBuckets = std::int64_t{1} << 15;
+  static constexpr std::size_t kBitWords = static_cast<std::size_t>(kBuckets) / 64;
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
   class Closure;
 
   void push(HeapKey key, Payload load);
+  std::uint32_t new_node(HeapKey key, const Payload& load);
+  void alloc_ring();
+  void link(std::uint32_t node);
+  void insert_current(std::uint32_t node);
+  std::int64_t next_ring_bucket() const;
+  bool refill(SimTime until);
+  /// Load the earliest pending event into cur_[cur_pos_] unless its bucket
+  /// starts after `until`; false when nothing is loaded.
+  bool has_front(SimTime until) { return !cur_.empty() || refill(until); }
+  Entry pop_front();
+  /// Time of the earliest pending event (queue must be non-empty). Does not
+  /// move the calendar.
+  SimTime next_time() const;
+  void overflow_push(HeapKey key, const Payload& load);
   Entry pop_min();
   void sift_up(std::size_t i);
   void dispatch(const Entry& entry);
@@ -267,13 +290,28 @@ class Engine {
     if (std::chrono::steady_clock::now() >= wall_deadline_) throw WallDeadlineExceeded();
   }
 
-  // Index-based 4-ary min-heap on (when, seq); keys_ and payloads_ are
-  // parallel arrays moved in lockstep by the sift routines, with capacity
-  // growth kept synchronised by push().
+  // Calendar queue (see the class comment). Every pending event is in
+  // exactly one of: cur_ (buckets <= cur_bucket_), the ring (buckets
+  // cur_bucket_+1 .. cur_bucket_+kBuckets-1), or the overflow heap (later).
+  // Node pool: nodes_[i] is an event, next_[i] links it into a ring bucket's
+  // list or the free list. The links live apart from the events so walking
+  // a bucket touches 4 bytes per event, not a 48-byte entry.
+  std::vector<Entry> nodes_;
+  std::vector<std::uint32_t> next_;
+  std::uint32_t free_node_{kNil};          ///< free-list head
+  std::vector<std::uint32_t> heads_;       ///< ring bucket list heads (lazy)
+  std::vector<std::uint64_t> bits_;        ///< ring occupancy, 1 bit per bucket (lazy)
+  std::array<std::uint64_t, kBitWords / 64> summary_{};  ///< non-zero words of bits_
+  std::size_t ring_count_{0};              ///< nodes linked in the ring
+  std::vector<std::uint32_t> cur_;         ///< current bucket, ascending by key
+  std::size_t cur_pos_{0};                 ///< next cur_ entry to pop
+  std::int64_t cur_bucket_{-1};            ///< absolute bucket (when >> kBucketShift) of cur_
+  std::size_t queued_{0};
+  // Overflow: index-based 4-ary min-heap on (when, seq); keys_ and payloads_
+  // are parallel arrays moved in lockstep by the sift routines, with
+  // capacity growth kept synchronised by overflow_push().
   std::vector<HeapKey> keys_;
   std::vector<Payload> payloads_;
-  std::vector<Entry> batch_;  ///< same-timestamp scratch drained by run()
-  std::size_t batch_pos_{0};  ///< next batch entry to dispatch
   // Pooled one-shot closure adapters: slots are created on demand, disarmed
   // (capture destroyed) when they fire, and re-armed from the free list —
   // the adapter objects themselves persist across firings and reset().
@@ -286,7 +324,7 @@ class Engine {
   std::size_t peak_queued_{0};
   EngineStats stats_;
   // Parallel-cell binding: when pdes_ is set, schedule_at routes through the
-  // cell (src/sim/pdes.hpp) instead of pushing into the local heap directly.
+  // cell (src/sim/pdes.hpp) instead of pushing into the local queue directly.
   PdesCell* pdes_{nullptr};
   std::int32_t pdes_domain_id_{0};
   std::uint64_t cur_seq_{0};  ///< seq of the event currently dispatching

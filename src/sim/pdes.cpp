@@ -104,11 +104,20 @@ void PdesCell::merge_window() {
     ++dom.cursor;
     ++stats_.merged_events;
     if (!entry.immediate) {
-      engine(entry.target->pdes_domain())
-          .push_raw(entry.when, seq, *entry.target, entry.kind, entry.a, entry.b);
+      Domain& to = domains_[static_cast<std::size_t>(entry.target->pdes_domain())];
+      if (to.inbox.empty() || entry.when < to.inbox_min) to.inbox_min = entry.when;
+      to.inbox.push_back(Delivery{entry.when, seq, entry.target, entry.kind, entry.a, entry.b});
     }
   }
   for (Domain& dom : domains_) dom.log.clear();
+}
+
+void PdesCell::drain_inbox(std::int32_t domain) {
+  Domain& dom = domains_[static_cast<std::size_t>(domain)];
+  for (const Delivery& d : dom.inbox) {
+    dom.engine->push_raw(d.when, d.seq, *d.target, d.kind, d.a, d.b);
+  }
+  dom.inbox.clear();
 }
 
 void PdesCell::finish() {
@@ -125,6 +134,7 @@ void PdesCell::finish() {
     }
   }
   primary.next_seq_ = next_seq_;
+  for (std::int32_t d = 0; d < num_domains(); ++d) drain_inbox(d);
   for (Domain& dom : domains_) {
     stats_.cross_domain_events += dom.cross_events;
     dom.cross_events = 0;
@@ -170,7 +180,8 @@ void PdesRunner::worker(std::int32_t domain) {
     sync_.arrive_and_wait();
     if (domain == 0) plan_next();
     sync_.arrive_and_wait();
-    if (done_) return;
+    if (done_) return;  // finish() delivers what is left in the inbox
+    cell_.drain_inbox(domain);
     if (!failed_.load(std::memory_order_relaxed)) {
       try {
         engine.run(run_until_);
@@ -193,14 +204,16 @@ void PdesRunner::plan_next() {
   cell_.merge_window();
   SimTime next = 0;
   bool any = false;
-  for (std::int32_t d = 0; d < cell_.num_domains(); ++d) {
-    Engine& e = cell_.engine(d);
-    if (e.keys_.empty()) continue;
-    const SimTime front = Engine::key_when(e.keys_.front());
+  const auto consider = [&](SimTime front) {
     if (!any || front < next) {
       next = front;
       any = true;
     }
+  };
+  for (std::int32_t d = 0; d < cell_.num_domains(); ++d) {
+    const PdesCell::Domain& dom = cell_.domains_[static_cast<std::size_t>(d)];
+    if (!dom.engine->empty()) consider(dom.engine->next_time());
+    if (!dom.inbox.empty()) consider(dom.inbox_min);
   }
   if (!any || next > time_limit_) {
     done_ = true;

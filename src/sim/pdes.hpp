@@ -43,15 +43,17 @@ struct PdesStats {
 /// creator order — which IS the order the sequential engine would have made
 /// those schedule_at calls — and each merged entry receives the next global
 /// sequence number. Same-domain events falling inside the current window
-/// also enter the creator's heap immediately under a provisional sequence
+/// also enter the creator's queue immediately under a provisional sequence
 /// number (kProvisionalBase + log index, above every true seq so same-time
 /// ties resolve exactly as sequentially), and are re-sequenced retroactively
-/// at the merge via the per-window `true_of` table. The result: identical
+/// at the merge via the per-window `true_of` table. Every other merged entry
+/// goes to its target domain's inbox, which that domain's own thread drains
+/// into its queue before executing the next window. The result: identical
 /// event order, identical statistics, byte-identical reports for any thread
 /// count, including 1 (CI byte-compares this).
 ///
 /// Setup (build + Job::start) stays single-threaded in kSetup mode, where
-/// schedule_at routes straight to the target's domain heap with true
+/// schedule_at routes straight to the target's domain queue with true
 /// sequence numbers — the same assignment order as sequential.
 class PdesCell {
  public:
@@ -87,12 +89,14 @@ class PdesCell {
   std::deque<PacketLog>& log_shards() { return shards_; }
 
   /// Route schedule_at traffic during single-threaded construction and
-  /// Job::start: events go straight to the target's domain heap with true
+  /// Job::start: events go straight to the target's domain queue with true
   /// sequence numbers. Engines stay attached until finish().
   void begin_setup();
   /// Switch to windowed-run mode (PdesRunner::run does this).
   void begin_run();
-  /// Aggregate the secondary domains' executed/stat counters and clock into
+  /// Deliver every inbox's remaining events to its domain's queue (so the
+  /// domains together hold what the sequential engine would still hold),
+  /// aggregate the secondary domains' executed/stat counters and clock into
   /// domain 0 (now() becomes the global max, matching the sequential engine's
   /// last-event clock) and detach every engine. Idempotent per run.
   void finish();
@@ -110,7 +114,7 @@ class PdesCell {
 
   /// One emission-log entry: the scheduled event plus the identity of the
   /// event that created it. `immediate` marks same-domain events that were
-  /// also pushed provisionally into the creator's heap (already executed by
+  /// also pushed provisionally into the creator's queue (already executed by
   /// merge time — the merge only assigns their true seq).
   struct LogEntry {
     SimTime creator_when;
@@ -122,12 +126,23 @@ class PdesCell {
     bool immediate;
   };
 
+  /// A merged event awaiting delivery to its target domain's queue.
+  struct Delivery {
+    SimTime when;
+    std::uint64_t seq;
+    Component* target;
+    std::uint32_t kind;
+    std::uint64_t a, b;
+  };
+
   /// Per-domain state, cache-line aligned: `log` is appended by the domain's
-  /// own thread during a window, and only thread 0 touches any of it at
-  /// barriers.
+  /// own thread during a window, `inbox` is drained by it after the window
+  /// is planned, and only thread 0 touches any of it at barriers.
   struct alignas(64) Domain {
     Engine* engine{nullptr};
     std::vector<LogEntry> log;
+    std::vector<Delivery> inbox;         ///< merged events bound for this domain
+    SimTime inbox_min{0};                ///< earliest inbox time (inbox non-empty)
     std::vector<std::uint64_t> true_of;  ///< per-window provisional -> true seq
     std::size_t cursor{0};               ///< merge scan position
     SimTime run_until{0};                ///< current window bound (immediate rule)
@@ -138,9 +153,12 @@ class PdesCell {
   /// (creator_when, resolved creator seq) order — resolving provisional
   /// creator seqs through true_of, which is always populated before a child
   /// entry reaches the front because a creator precedes its children in the
-  /// same log — assigning true seqs in sequential call order and delivering
-  /// non-immediate events to their target domain's heap.
+  /// same log — assigning true seqs in sequential call order and appending
+  /// non-immediate events to their target domain's inbox.
   void merge_window();
+  /// Push a domain's inbox into its engine's queue (the domain's own thread
+  /// during a run, the caller's in finish()).
+  void drain_inbox(std::int32_t domain);
 
   CellPartition partition_;
   SimArena* arena_;
@@ -162,7 +180,7 @@ class PdesRunner {
  public:
   PdesRunner(PdesCell& cell, SimTime time_limit);
 
-  /// Run until every heap's front is past the time limit (or empty).
+  /// Run until every queue's front is past the time limit (or empty).
   /// Equivalent to cell.engine(0).run(time_limit) in the sequential engine,
   /// including events landing exactly at the limit.
   void run();

@@ -201,8 +201,29 @@ TEST(Engine, SameTimeFloodWithInterleavedSchedulingKeepsFifo) {
 }
 
 TEST(Engine, RandomizedStressMatchesReferencePriorityQueue) {
-  // Cross-check the 4-ary heap against std::priority_queue on (when, seq)
-  // under interleaved schedule bursts and partial drains.
+  // Cross-check the calendar queue against std::priority_queue on
+  // (when, seq) under interleaved schedule bursts and partial drains. Each
+  // case stresses one part of the calendar: its 64 ps buckets, the ~2.1 µs
+  // ring (2^21 ps) and its wrap-around, the overflow heap beyond it,
+  // same-time floods in one bucket, and clear()/reset() reuse mid-run.
+  struct StressCase {
+    const char* name;
+    std::uint64_t seed;
+    std::uint64_t max_burst;
+    std::vector<std::uint64_t> delay_spans;  ///< each event's delay is below one of these
+    std::uint64_t max_step;                  ///< horizon advance per round
+    int flood_every;                         ///< rounds between same-time floods (0 = none)
+    int clear_every;                         ///< rounds between clear() calls (0 = none)
+    int reset_every;                         ///< rounds between reset() calls (0 = none)
+  };
+  const std::vector<StressCase> cases = {
+      {"within one bucket", 99, 40, {300}, 200, 0, 0, 0},
+      {"across buckets", 5, 40, {300, 20'000, 300'000}, 50'000, 0, 0, 0},
+      {"wrapping the ring", 6, 30, {100'000, 2'000'000, 2'200'000}, 700'000, 0, 0, 0},
+      {"into the overflow", 7, 20, {1'000, 5'000'000, 80'000'000}, 3'000'000, 0, 0, 0},
+      {"same-time floods", 8, 10, {1, 64, 128}, 100, 3, 0, 0},
+      {"clear and reset reuse", 9, 40, {300, 300'000, 5'000'000}, 100'000, 4, 17, 29},
+  };
   struct Ref {
     SimTime when;
     std::uint64_t id;
@@ -210,38 +231,59 @@ TEST(Engine, RandomizedStressMatchesReferencePriorityQueue) {
   const auto after = [](const Ref& x, const Ref& y) {
     return x.when > y.when || (x.when == y.when && x.id > y.id);
   };
-  std::priority_queue<Ref, std::vector<Ref>, decltype(after)> reference(after);
-  std::vector<Ref> expected;
-
-  Engine engine;
-  Recorder recorder;
-  Rng rng(99);
-  std::uint64_t next_id = 0;
-  SimTime horizon = 0;
-  for (int round = 0; round < 200; ++round) {
-    const int burst = static_cast<int>(rng.next_below(40));
-    for (int i = 0; i < burst; ++i) {
-      const SimTime when = horizon + static_cast<SimTime>(rng.next_below(300));
+  for (const StressCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::priority_queue<Ref, std::vector<Ref>, decltype(after)> reference(after);
+    std::vector<Ref> expected;
+    Engine engine;
+    Recorder recorder;
+    Rng rng(c.seed);
+    std::uint64_t next_id = 0;
+    SimTime horizon = 0;
+    const auto schedule = [&](SimTime when) {
       engine.schedule_at(when, recorder, 0, next_id);
       reference.push(Ref{when, next_id});
       ++next_id;
+    };
+    for (int round = 1; round <= 200; ++round) {
+      const int burst = static_cast<int>(rng.next_below(c.max_burst));
+      for (int i = 0; i < burst; ++i) {
+        const std::uint64_t span =
+            c.delay_spans.size() == 1 ? c.delay_spans[0]
+                                      : c.delay_spans[rng.next_below(c.delay_spans.size())];
+        schedule(horizon + static_cast<SimTime>(rng.next_below(span)));
+      }
+      if (c.flood_every > 0 && round % c.flood_every == 0) {
+        const SimTime when = horizon + static_cast<SimTime>(rng.next_below(2));
+        for (int i = 0; i < 150; ++i) schedule(when);
+      }
+      horizon += static_cast<SimTime>(rng.next_below(c.max_step));
+      engine.run(horizon);
+      while (!reference.empty() && reference.top().when <= horizon) {
+        expected.push_back(reference.top());
+        reference.pop();
+      }
+      ASSERT_EQ(engine.queued(), reference.size()) << "after round " << round;
+      if (c.clear_every > 0 && round % c.clear_every == 0) {
+        engine.clear();
+        while (!reference.empty()) reference.pop();
+      }
+      if (c.reset_every > 0 && round % c.reset_every == 0) {
+        engine.reset();  // clock back to 0: the calendar restarts from its first bucket
+        while (!reference.empty()) reference.pop();
+        horizon = 0;
+      }
     }
-    horizon += static_cast<SimTime>(rng.next_below(200));
-    engine.run(horizon);
-    while (!reference.empty() && reference.top().when <= horizon) {
+    engine.run();
+    while (!reference.empty()) {
       expected.push_back(reference.top());
       reference.pop();
     }
-  }
-  engine.run();
-  while (!reference.empty()) {
-    expected.push_back(reference.top());
-    reference.pop();
-  }
-  ASSERT_EQ(recorder.log.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(recorder.log[i].when, expected[i].when) << "at event " << i;
-    ASSERT_EQ(recorder.log[i].a, expected[i].id) << "at event " << i;
+    ASSERT_EQ(recorder.log.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(recorder.log[i].when, expected[i].when) << "at event " << i;
+      ASSERT_EQ(recorder.log[i].a, expected[i].id) << "at event " << i;
+    }
   }
 }
 

@@ -221,7 +221,28 @@ struct FloodResult {
   std::uint64_t executed{0};
   SimTime now{0};
   EngineStats stats;
+  std::size_t queued{0};  ///< events still pending after the run, all domains
+  SimTime next_when{-1};  ///< time of the earliest of them (-1 when none)
 };
+
+/// Fill `result.queued`/`next_when` from the engines that hold a run's
+/// leftovers. Each non-empty engine executes one event with every log
+/// redirected to a scratch vector, which then holds each engine's earliest
+/// pending time without touching the sequences already recorded.
+void probe_pending(const std::vector<Engine*>& engines,
+                   const std::vector<std::unique_ptr<Flood>>& floods, RecordSink& sink,
+                   FloodResult& result) {
+  std::vector<Rec> scratch;
+  for (const auto& f : floods) f->log = &scratch;
+  sink.log = &scratch;
+  for (Engine* engine : engines) {
+    result.queued += engine->queued();
+    if (engine->step()) {
+      const SimTime when = scratch.back().when;
+      if (result.next_when < 0 || when < result.next_when) result.next_when = when;
+    }
+  }
+}
 
 /// Run the flood net on `domains` domains with `per_domain` floods each —
 /// through a PdesCell/PdesRunner when `parallel`, else on the plain engine —
@@ -254,6 +275,13 @@ FloodResult run_flood(std::int32_t domains, int per_domain, bool parallel,
   }
 
   Engine engine;
+  // Counters first: probing the leftovers executes events.
+  const auto record = [&](const std::vector<Engine*>& engines) {
+    result.executed = engine.executed();
+    result.now = engine.now();
+    result.stats = engine.stats();
+    probe_pending(engines, floods, sink, result);
+  };
   const auto seed_events = [&] {
     for (std::size_t i = 0; i < n; ++i) {
       engine.schedule_at(5, *floods[i], 0, generations, 5000 + i);
@@ -272,13 +300,14 @@ FloodResult run_flood(std::int32_t domains, int per_domain, bool parallel,
     if (domains > 1) {
       EXPECT_GT(cell.stats().windows, 0u);
     }
+    std::vector<Engine*> engines;
+    for (std::int32_t d = 0; d < domains; ++d) engines.push_back(&cell.engine(d));
+    record(engines);
   } else {
     seed_events();
     engine.run(time_limit);
+    record({&engine});
   }
-  result.executed = engine.executed();
-  result.now = engine.now();
-  result.stats = engine.stats();
   return result;
 }
 
@@ -287,6 +316,8 @@ void expect_same(const FloodResult& parallel, const FloodResult& sequential) {
   EXPECT_EQ(parallel.now, sequential.now);
   EXPECT_EQ(parallel.stats.scheduled_by_kind, sequential.stats.scheduled_by_kind);
   EXPECT_EQ(parallel.stats.executed_by_kind, sequential.stats.executed_by_kind);
+  EXPECT_EQ(parallel.queued, sequential.queued) << "pending events lost or duplicated";
+  EXPECT_EQ(parallel.next_when, sequential.next_when);
   ASSERT_EQ(parallel.logs.size(), sequential.logs.size());
   for (std::size_t c = 0; c < parallel.logs.size(); ++c) {
     EXPECT_EQ(parallel.logs[c], sequential.logs[c]) << "component " << c
@@ -309,10 +340,14 @@ TEST(PdesOrder, ThreeDomainSameTimeFloodReplaysSequentialOrder) {
 TEST(PdesOrder, TimeLimitTruncatesExactlyLikeSequential) {
   // A limit landing mid-cascade (between the seed wave at t=5 and later
   // cross-domain waves): events at exactly the limit execute, later ones
-  // don't, byte-for-byte like Engine::run(limit).
+  // don't, byte-for-byte like Engine::run(limit) — and the events left
+  // pending (merged at the last barrier but never executed) are all still
+  // queued after finish(), with the same earliest time.
   for (const SimTime limit : {SimTime{5}, SimTime{15}, SimTime{18}, SimTime{21}}) {
-    expect_same(run_flood(2, 2, true, limit, /*generations=*/4),
-                run_flood(2, 2, false, limit, /*generations=*/4));
+    const FloodResult par = run_flood(2, 2, true, limit, /*generations=*/4);
+    const FloodResult seq = run_flood(2, 2, false, limit, /*generations=*/4);
+    expect_same(par, seq);
+    EXPECT_GT(seq.queued, 0u) << "limit " << limit << " must leave events pending";
   }
 }
 
