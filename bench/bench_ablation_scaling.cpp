@@ -37,7 +37,7 @@ SweepStat run_cell(const bench::Options& options, const std::string& routing, in
     });
   }
   reports = bench::parallel_map(tasks);
-  const SweepSummary summary = SeedSweep::aggregate(reports);
+  const SweepSummary summary = aggregate_sweep(reports);
   return summary.app("FFT3D").comm_ms;
 }
 

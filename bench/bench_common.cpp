@@ -1,10 +1,10 @@
 #include "bench_common.hpp"
 
+#include <climits>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 
-#include "core/arena.hpp"
-#include "core/blueprint.hpp"
+#include "core/config_file.hpp"
 
 namespace dfly::bench {
 
@@ -27,34 +27,32 @@ Options Options::parse(int argc, char** argv, int default_scale, Caps caps) {
       std::exit(2);
     }
   };
+  // Numeric flags follow the one strict integer rule (parse_uint): a bad
+  // value is one line naming the flag, never a silent fallback.
+  const auto number = [](const char* flag, const std::string& value, std::uint64_t min,
+                         std::uint64_t max) -> std::uint64_t {
+    try {
+      return parse_uint_named(flag, value, min, max);
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "%s\n", error.what());
+      std::exit(2);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--scale=", 0) == 0) {
-      options.scale = std::atoi(arg.c_str() + 8);
-      if (options.scale < 1) options.scale = 1;
+      options.scale = static_cast<int>(number("--scale", arg.substr(8), 1, INT_MAX));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = static_cast<std::uint64_t>(std::atoll(arg.c_str() + 7));
+      options.seed = number("--seed", arg.substr(7), 0, UINT64_MAX);
     } else if (arg.rfind("--routing=", 0) == 0) {
       options.routing = arg.substr(10);
     } else if (arg.rfind("--jobs=", 0) == 0) {
       reject_unsupported("--jobs", caps.jobs);
-      const char* value = arg.c_str() + 7;
-      char* end = nullptr;
-      const long jobs = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || jobs < 0) {
-        std::fprintf(stderr, "--jobs needs a non-negative integer (0 = auto)\n");
-        std::exit(2);
-      }
-      options.jobs = static_cast<int>(jobs);  // 0 = DFSIM_JOBS, else all cores
+      // 0 = DFSIM_JOBS, else all cores
+      options.jobs = static_cast<int>(number("--jobs", arg.substr(7), 0, INT_MAX));
     } else if (arg.rfind("--json=", 0) == 0) {
       reject_unsupported("--json", caps.json);
       options.json_path = arg.substr(7);
-    } else if (arg == "--no-arena") {
-      options.no_arena = true;
-      set_arena_enabled(false);
-    } else if (arg == "--no-blueprint") {
-      options.no_blueprint = true;
-      set_blueprint_enabled(false);
     } else if (arg == "--full") {
       options.scale = 1;
     } else if (arg == "--quick") {
@@ -64,8 +62,7 @@ Options Options::parse(int argc, char** argv, int default_scale, Caps caps) {
       options.smoke = true;
       options.scale = 64;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("options: --scale=N --seed=N --routing=NAME --no-arena --no-blueprint "
-                  "--full --quick%s%s%s\n",
+      std::printf("options: --scale=N --seed=N --routing=NAME --full --quick%s%s%s\n",
                   caps.jobs ? " --jobs=N" : "", caps.json ? " --json=FILE" : "",
                   caps.smoke ? " --smoke" : "");
       std::exit(0);

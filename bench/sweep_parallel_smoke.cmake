@@ -1,8 +1,9 @@
-# CTest script: run the same multi-seed sweep with --jobs=1, --jobs=4,
-# --jobs=4 --no-arena, --jobs={1,4} --no-blueprint, and
+# CTest script: run the same multi-seed sweep with --jobs=1, --jobs=4 and
 # --jobs=2 --cell-threads=2 and require byte-identical JSON reports — worker
-# count, per-worker arena storage reuse, cross-cell SystemBlueprint sharing
+# count (with its per-worker arena reuse and shared SystemBlueprint cache)
 # AND the intra-cell parallel engine must all be invisible in the output.
+# Reuse against a fresh build is byte-compared by test_arena's dirty-state
+# fuzz, the per-mode PlanModeReference test and bench_memory.
 # Invoked by the sweep_parallel_smoke test with -DDFLYSIM=<binary>
 # -DWORK_DIR=<build dir>.
 set(ARGS --app=UR:64 --scale=64 --seed=42 --sweep=4)
@@ -19,29 +20,6 @@ execute_process(
   RESULT_VARIABLE PAR_RESULT OUTPUT_QUIET)
 if(NOT PAR_RESULT EQUAL 0)
   message(FATAL_ERROR "parallel sweep failed with exit code ${PAR_RESULT}")
-endif()
-
-execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=4 --no-arena --json=${WORK_DIR}/sweep_noarena.json
-  RESULT_VARIABLE NOARENA_RESULT OUTPUT_QUIET)
-if(NOT NOARENA_RESULT EQUAL 0)
-  message(FATAL_ERROR "--no-arena sweep failed with exit code ${NOARENA_RESULT}")
-endif()
-
-execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=1 --no-blueprint
-          --json=${WORK_DIR}/sweep_nobp_seq.json
-  RESULT_VARIABLE NOBP_SEQ_RESULT OUTPUT_QUIET)
-if(NOT NOBP_SEQ_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=1 --no-blueprint sweep failed with exit code ${NOBP_SEQ_RESULT}")
-endif()
-
-execute_process(
-  COMMAND ${DFLYSIM} ${ARGS} --jobs=4 --no-blueprint
-          --json=${WORK_DIR}/sweep_nobp_par.json
-  RESULT_VARIABLE NOBP_PAR_RESULT OUTPUT_QUIET)
-if(NOT NOBP_PAR_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=4 --no-blueprint sweep failed with exit code ${NOBP_PAR_RESULT}")
 endif()
 
 # Both parallelism levels at once: 2 worker threads x 2 engine domains.
@@ -63,38 +41,10 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_noarena.json
-  RESULT_VARIABLE ARENA_DIFF_RESULT)
-if(NOT ARENA_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--no-arena sweep JSON differs from the arena-reuse run "
-                      "(arena reuse leaked state across cells)")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_nobp_seq.json
-  RESULT_VARIABLE NOBP_SEQ_DIFF_RESULT)
-if(NOT NOBP_SEQ_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=1 --no-blueprint sweep JSON differs from the shared-blueprint "
-                      "run (blueprint sharing changed the output)")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_nobp_par.json
-  RESULT_VARIABLE NOBP_PAR_DIFF_RESULT)
-if(NOT NOBP_PAR_DIFF_RESULT EQUAL 0)
-  message(FATAL_ERROR "--jobs=4 --no-blueprint sweep JSON differs from the shared-blueprint "
-                      "run (blueprint sharing changed the output)")
-endif()
-
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
           ${WORK_DIR}/sweep_seq.json ${WORK_DIR}/sweep_cellpar.json
   RESULT_VARIABLE CELLPAR_DIFF_RESULT)
 if(NOT CELLPAR_DIFF_RESULT EQUAL 0)
   message(FATAL_ERROR "--jobs=2 --cell-threads=2 sweep JSON differs from the sequential "
                       "run (intra-cell parallel engine determinism regression)")
 endif()
-message(STATUS "jobs=1, jobs=4, jobs=4 --no-arena, jobs={1,4} --no-blueprint and "
-               "jobs=2 --cell-threads=2 sweep reports are byte-identical")
+message(STATUS "jobs=1, jobs=4 and jobs=2 --cell-threads=2 sweep reports are byte-identical")

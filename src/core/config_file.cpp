@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -9,6 +10,27 @@
 #include <stdexcept>
 
 namespace dfly {
+
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t min,
+                                        std::uint64_t max) {
+  // from_chars on an unsigned type takes digits only: no whitespace, no '+',
+  // and no '-' (which std::stoull would wrap to 2^64-1). Requiring it to
+  // consume the whole text rejects suffixes like "4x".
+  std::uint64_t value = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc{} || end != text.data() + text.size()) return std::nullopt;
+  if (value < min || value > max) return std::nullopt;
+  return value;
+}
+
+std::uint64_t parse_uint_named(const std::string& name, std::string_view text,
+                               std::uint64_t min, std::uint64_t max) {
+  if (const std::optional<std::uint64_t> value = parse_uint(text, min, max)) return *value;
+  const std::string rule = min == 0   ? "a non-negative integer"
+                           : min == 1 ? "a positive integer"
+                                      : "an integer >= " + std::to_string(min);
+  throw std::invalid_argument(name + " must be " + rule + ", got '" + std::string(text) + "'");
+}
 
 namespace {
 
@@ -192,19 +214,9 @@ std::vector<std::uint64_t> ConfigFile::get_seed_list(const std::string& key) con
                                 "' " + why + " (expected N or A..B)");
   };
   const auto parse_seed = [&](const std::string& item, const std::string& text) {
-    // Digits only: std::stoull would silently wrap "-1" to 2^64-1.
-    if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
-      fail(item, "is not a seed");
-    }
-    try {
-      std::size_t used = 0;
-      const std::uint64_t v = std::stoull(text, &used);
-      if (used != text.size()) throw std::invalid_argument("trailing");
-      return v;
-    } catch (const std::exception&) {
-      fail(item, "is not a seed");
-      return std::uint64_t{0};  // unreachable
-    }
+    const std::optional<std::uint64_t> seed = parse_uint(text);
+    if (!seed) fail(item, "is not a seed");
+    return *seed;
   };
   for (const std::string& item : get_string_list(key)) {
     const auto dots = item.find("..");
@@ -245,11 +257,6 @@ struct KeySpec {
 const std::vector<KeySpec>& key_specs() {
   using C = StudyConfig;
   using F = ConfigFile;
-  const auto int_key = [](const char* key, auto member) {
-    return KeySpec{key,
-                   [member](C& c, const F& f, const std::string& k) { c.*member = f.get_int(k); },
-                   [member](const C& c) { return std::to_string(c.*member); }};
-  };
   static const std::vector<KeySpec> specs{
       {"topo.p", [](C& c, const F& f, const std::string& k) { c.topo.p = f.get_int(k); },
        [](const C& c) { return std::to_string(c.topo.p); }},
@@ -282,7 +289,14 @@ const std::vector<KeySpec>& key_specs() {
          c.seed = seeds.front();
        },
        [](const C& c) { return std::to_string(c.seed); }},
-      int_key("scale", &C::scale),
+      {"scale",
+       [](C& c, const F& f, const std::string& k) {
+         c.scale = f.get_int(k);
+         if (c.scale < 1) {
+           throw std::invalid_argument("ConfigFile: " + f.where(k) + ": 'scale' must be >= 1");
+         }
+       },
+       [](const C& c) { return std::to_string(c.scale); }},
       {"time_limit_ms",
        [](C& c, const F& f, const std::string& k) { c.time_limit = f.get_int(k) * kMs; },
        [](const C& c) { return std::to_string(c.time_limit / kMs); }},

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/study.hpp"
@@ -30,6 +32,20 @@
 /// duplicate keys are rejected (naming both lines) and unknown keys are
 /// rejected by `apply_config` (typo safety).
 namespace dfly {
+
+/// The one strict integer rule every numeric text input shares: seed keys,
+/// the DFSIM_JOBS / DFSIM_CELL_THREADS environment variables, and the numeric
+/// flags of dflysim and the benches. The whole of `text` must be decimal
+/// digits (no sign, space or suffix) and the value must lie in [min, max];
+/// anything else is std::nullopt.
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t min = 0,
+                                        std::uint64_t max = UINT64_MAX);
+
+/// parse_uint for a named input (a flag or variable): throws
+/// std::invalid_argument "<name> must be a positive integer, got '<text>'"
+/// (non-negative for min 0, ">= min" otherwise) when the rule rejects it.
+std::uint64_t parse_uint_named(const std::string& name, std::string_view text,
+                               std::uint64_t min = 0, std::uint64_t max = UINT64_MAX);
 
 class ConfigFile {
  public:

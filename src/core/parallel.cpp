@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +12,7 @@
 
 #include "core/arena.hpp"
 #include "core/blueprint.hpp"
+#include "core/config_file.hpp"
 #include "core/mutex.hpp"
 
 namespace dfly {
@@ -21,22 +21,10 @@ ParallelRunner::ParallelRunner(int jobs) : jobs_(resolve_jobs(jobs, 1)) {}
 
 int ParallelRunner::resolve_jobs(int requested, int fallback) {
   if (requested > 0) return requested;
+  // Strict full-string parse: a typo'd environment ("4x", "abc") must fail
+  // loudly, not silently run the wrong worker count.
   if (const char* env = std::getenv("DFSIM_JOBS")) {
-    // Strict full-string parse. std::atoi silently turned "4x" into 4 jobs
-    // and "abc" into the fallback — a typo'd environment either ran the
-    // wrong worker count or ignored the user's intent without a word.
-    char* end = nullptr;
-    errno = 0;
-    const long jobs = std::strtol(env, &end, 10);
-    // strtol tolerates leading whitespace and a '+'; a *strict* value is
-    // digits only, so require the first character to be one.
-    const bool starts_with_digit = env[0] >= '0' && env[0] <= '9';
-    if (!starts_with_digit || end == env || *end != '\0' || errno == ERANGE || jobs < 1 ||
-        jobs > INT_MAX) {
-      throw std::invalid_argument("DFSIM_JOBS must be a positive integer, got '" +
-                                  std::string(env) + "'");
-    }
-    return static_cast<int>(jobs);
+    return static_cast<int>(parse_uint_named("DFSIM_JOBS", env, 1, INT_MAX));
   }
   return fallback < 1 ? 1 : fallback;
 }
@@ -44,18 +32,7 @@ int ParallelRunner::resolve_jobs(int requested, int fallback) {
 int ParallelRunner::resolve_cell_threads(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("DFSIM_CELL_THREADS")) {
-    // Same strict full-string parse as DFSIM_JOBS: a typo'd value must fail
-    // loudly, not silently run the wrong (or no) intra-cell parallelism.
-    char* end = nullptr;
-    errno = 0;
-    const long threads = std::strtol(env, &end, 10);
-    const bool starts_with_digit = env[0] >= '0' && env[0] <= '9';
-    if (!starts_with_digit || end == env || *end != '\0' || errno == ERANGE || threads < 1 ||
-        threads > INT_MAX) {
-      throw std::invalid_argument("DFSIM_CELL_THREADS must be a positive integer, got '" +
-                                  std::string(env) + "'");
-    }
-    return static_cast<int>(threads);
+    return static_cast<int>(parse_uint_named("DFSIM_CELL_THREADS", env, 1, INT_MAX));
   }
   return 1;
 }
@@ -156,19 +133,15 @@ void ParallelRunner::run_indexed(std::size_t n, const std::function<void(std::si
   const bool stop_early = errors == nullptr;
   WorkerErrors collected;
   collected.workers.resize(static_cast<std::size_t>(workers < 1 ? 1 : workers));
-  // Each worker (including the sequential fast path) binds a persistent
-  // SimArena for its run: the first cell grows the storage, every later cell
-  // on the same worker reuses it in place. Reuse is output-neutral, so cell
-  // -> worker assignment never affects results (see core/arena.hpp);
-  // --no-arena / DFSIM_NO_ARENA turns the binding off.
+  // Each worker binds a persistent SimArena for its run: the first cell
+  // grows the storage, every later cell on the same worker reuses it in
+  // place. Reuse is output-neutral, so cell -> worker assignment never
+  // affects results (see core/arena.hpp).
   //
   // All workers additionally share ONE BlueprintCache: the immutable
   // topology/wiring/routing plan of each distinct cell shape is built once
-  // and read concurrently by every worker (--no-blueprint / DFSIM_NO_BLUEPRINT
-  // turns the sharing off; cells then build private plans).
-  const bool use_arena = arena_enabled();
+  // and read concurrently by every worker.
   BlueprintCache blueprint_cache;
-  BlueprintCache* shared_cache = blueprint_enabled() ? &blueprint_cache : nullptr;
   // The cross-worker error channel, shaped so the thread-safety analysis can
   // prove the discipline: `first` is only touched under `mutex`.
   struct FirstError {
@@ -180,47 +153,32 @@ void ParallelRunner::run_indexed(std::size_t n, const std::function<void(std::si
       return first;
     }
   } error;
-  if (workers <= 1) {
+  // Work stealing via a shared counter: cells are claimed in index order,
+  // so a cheap cell never waits behind an expensive one on the same worker.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  auto worker = [&](std::size_t id) {
     SimArena arena;
-    ScopedArenaBinding binding(use_arena ? &arena : nullptr);
-    ScopedBlueprintCacheBinding cache_binding(shared_cache);
-    for (std::size_t i = 0; i < n; ++i) {
+    ScopedArenaBinding binding(&arena);
+    ScopedBlueprintCacheBinding cache_binding(&blueprint_cache);
+    WorkerErrors::Worker& me = collected.workers[id];
+    for (;;) {
+      if (stop_early && failed.load(std::memory_order_relaxed)) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
       try {
         fn(i);
       } catch (...) {
-        WorkerErrors::Worker& me = collected.workers[0];
-        if (me.failures++ == 0) {
-          me.first = current_exception_message();
-          const MutexLock lock(error.mutex);
-          error.first = std::current_exception();
-        }
-        if (stop_early) break;
+        if (me.failures++ == 0) me.first = current_exception_message();
+        const MutexLock lock(error.mutex);
+        if (!error.first) error.first = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
       }
     }
+  };
+  if (workers <= 1) {
+    worker(0);  // one worker runs inline on the calling thread
   } else {
-    // Work stealing via a shared counter: cells are claimed in index order,
-    // so a cheap cell never waits behind an expensive one on the same worker.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    auto worker = [&](std::size_t id) {
-      SimArena arena;
-      ScopedArenaBinding binding(use_arena ? &arena : nullptr);
-      ScopedBlueprintCacheBinding cache_binding(shared_cache);
-      WorkerErrors::Worker& me = collected.workers[id];
-      for (;;) {
-        if (stop_early && failed.load(std::memory_order_relaxed)) return;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          if (me.failures++ == 0) me.first = current_exception_message();
-          const MutexLock lock(error.mutex);
-          if (!error.first) error.first = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    };
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
     for (int t = 0; t < workers; ++t) {
@@ -260,8 +218,8 @@ void SubmissionQueue::worker_main(std::size_t id) {
   // lifetime: the arena carries hot storage and the shared cache carries
   // blueprints from campaign to campaign, not just cell to cell.
   SimArena arena;
-  ScopedArenaBinding binding(arena_enabled() ? &arena : nullptr);
-  ScopedBlueprintCacheBinding cache_binding(blueprint_enabled() ? cache_.get() : nullptr);
+  ScopedArenaBinding binding(&arena);
+  ScopedBlueprintCacheBinding cache_binding(cache_.get());
   MutexLock lock(mutex_);
   for (;;) {
     // Explicit wait loop (not a predicate lambda) so the thread-safety

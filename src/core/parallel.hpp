@@ -128,9 +128,8 @@ class ParallelRunner {
   /// duration of the call, so Studies built inside `fn` reuse the worker's
   /// grown storage cell after cell; and all workers share one BlueprintCache
   /// (core/blueprint.hpp), so same-shape cells read one immutable
-  /// topology/wiring/routing plan instead of rebuilding it. Disabled by
-  /// --no-arena / DFSIM_NO_ARENA and --no-blueprint / DFSIM_NO_BLUEPRINT
-  /// respectively; output is bit-identical in every combination.
+  /// topology/wiring/routing plan instead of rebuilding it. Output is
+  /// bit-identical to Studies built fresh on a thread with neither bound.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
                    WorkerErrors* errors = nullptr) const;
 

@@ -14,6 +14,7 @@
 #include "core/blueprint.hpp"
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
+#include "core/pairwise.hpp"
 #include "routing/factory.hpp"
 #include "workloads/factory.hpp"
 
@@ -183,20 +184,13 @@ void ExperimentPlan::validate() const {
       }
       break;
     case PlanMode::kPairwise:
-      if (pairwise_list.empty() && (targets.empty() || backgrounds.empty())) {
+      if (targets.empty() || backgrounds.empty()) {
         throw std::invalid_argument("ExperimentPlan: mode 'pairwise' needs plan.targets and "
-                                    "plan.backgrounds (or an explicit pairwise_list)");
+                                    "plan.backgrounds");
       }
       for (const std::string& name : targets) check_app("targets axis", name);
       for (const std::string& name : backgrounds) {
         if (name != "None") check_app("backgrounds axis", name);
-      }
-      for (const PairwiseCell& cell : pairwise_list) {
-        check_app("pairwise_list", cell.target);
-        if (!cell.background.empty() && cell.background != "None") {
-          check_app("pairwise_list", cell.background);
-        }
-        if (!cell.routing.empty()) check_routing("pairwise_list", cell.routing);
       }
       break;
     case PlanMode::kMixed:
@@ -231,21 +225,11 @@ std::vector<PlanCell> ExperimentPlan::expand() const {
         push(PlanCellKind::kCustom, config);
         break;
       case PlanMode::kPairwise:
-        if (!pairwise_list.empty()) {
-          for (const PairwiseCell& pair : pairwise_list) {
-            StudyConfig cell_config = config;
-            if (!pair.routing.empty()) cell_config.routing = pair.routing;
-            const auto it = push(PlanCellKind::kPairwise, std::move(cell_config));
-            it->target = pair.target;
-            it->background = pair.background.empty() ? "None" : pair.background;
-          }
-        } else {
-          for (const std::string& target : targets) {
-            for (const std::string& background : backgrounds) {
-              const auto it = push(PlanCellKind::kPairwise, config);
-              it->target = target;
-              it->background = background;
-            }
+        for (const std::string& target : targets) {
+          for (const std::string& background : backgrounds) {
+            const auto it = push(PlanCellKind::kPairwise, config);
+            it->target = target;
+            it->background = background;
           }
         }
         break;

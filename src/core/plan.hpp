@@ -13,7 +13,6 @@
 
 #include "core/config_file.hpp"
 #include "core/journal.hpp"
-#include "core/pairwise.hpp"
 #include "core/parallel.hpp"
 #include "core/study.hpp"
 
@@ -39,10 +38,9 @@
 /// runs a deterministic slice for multi-host fan-out (reassembled with
 /// merge_shard_jsonl).
 ///
-/// The legacy driver surfaces — SeedSweep::run, run_pairwise_cells,
-/// run_mixed_suites — are retained as thin shims over this core; new
-/// scenarios should build an ExperimentPlan (programmatically, or from a
-/// `plan.*` config file via plan_from_config / `dflysim --plan=FILE`).
+/// Every driver builds an ExperimentPlan — programmatically (benches,
+/// `dflysim --sweep`), or from a `plan.*` config file via plan_from_config /
+/// `dflysim --plan=FILE` — and runs it here; there is no other campaign path.
 namespace dfly {
 
 /// How a plan populates each cell's job mix.
@@ -114,7 +112,7 @@ struct CellFailure {
   int attempts{1};       ///< simulation attempts consumed (> 1 after retries)
   bool timeout{false};     ///< abandoned by the wall-clock watchdog
   bool sink_error{false};  ///< the simulation succeeded but a sink write failed
-  /// The final attempt's exception, for callers that need legacy rethrow
+  /// The final attempt's exception, for callers that need fail-fast rethrow
   /// semantics (PlanOutcome::rethrow_any). Null for failures replayed from a
   /// resume journal.
   std::exception_ptr error;
@@ -163,17 +161,14 @@ struct ExperimentPlan {
   std::vector<PlacementPolicy> placements;
   std::vector<int> scales;
   std::vector<std::uint64_t> seeds;
-  /// Explicit per-cell configs replacing the axis product (legacy
-  /// run_mixed_suites shim; campaigns over hand-built config sets).
+  /// Explicit per-cell configs replacing the axis product (campaigns over
+  /// hand-built config sets).
   std::vector<StudyConfig> config_list;
 
   // --- job mix ------------------------------------------------------------
   std::vector<PlanJob> jobs;             ///< kSingle
   std::vector<std::string> targets;      ///< kPairwise
   std::vector<std::string> backgrounds;  ///< kPairwise; "None" = standalone
-  /// kPairwise: explicit (target, background, routing-override) list
-  /// replacing the targets x backgrounds product (legacy shim surface).
-  std::vector<PairwiseCell> pairwise_list;
   bool mixed_solos{true};  ///< kMixed: append per-app solo baselines
   /// kCustom: produces each cell's Report (runs on a worker thread; must
   /// only touch state owned by its cell).
@@ -338,9 +333,10 @@ struct PlanOutcome {
   bool all_ok() const {
     return failures.empty() && !worker_errors.any() && completed == cells;
   }
-  /// Legacy fail-fast surface for the pre-plan driver shims: rethrow the
-  /// first failure's original exception (or a std::runtime_error carrying
-  /// its message when only a journal replay is available). No-op when clean.
+  /// Fail-fast surface for drivers that stop on the first bad cell
+  /// (`dflysim --sweep`): rethrow the first failure's original exception (or
+  /// a std::runtime_error carrying its message when only a journal replay is
+  /// available). No-op when clean.
   void rethrow_any() const;
 };
 

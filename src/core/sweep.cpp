@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/plan.hpp"
-
 namespace dfly {
 
 SweepStat SweepStat::of(const Accumulator& acc) {
@@ -27,36 +25,8 @@ const AppSweep& SweepSummary::app(const std::string& name) const {
   throw std::out_of_range("SweepSummary: no app named " + name);
 }
 
-SeedSweep::SeedSweep(std::vector<std::uint64_t> seeds) : seeds_(std::move(seeds)) {
-  if (seeds_.empty()) throw std::invalid_argument("SeedSweep: need at least one seed");
-}
-
-SeedSweep::SeedSweep(std::uint64_t base_seed, int n) {
-  if (n < 1) throw std::invalid_argument("SeedSweep: need at least one repetition");
-  seeds_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) seeds_.push_back(base_seed + static_cast<std::uint64_t>(i));
-}
-
-SweepSummary SeedSweep::run(const std::function<Report(std::uint64_t)>& experiment,
-                            int jobs) const {
-  // Shim over the unified campaign core: a seed sweep is a plan with one
-  // seeds axis and a custom cell runner. Scheduling, arena reuse and
-  // blueprint sharing are exactly what every other driver gets, so the
-  // summary is bit-identical to the pre-plan implementation.
-  ExperimentPlan plan;
-  plan.name = "seed_sweep";
-  plan.mode = PlanMode::kCustom;
-  plan.seeds = seeds_;
-  plan.custom = [&experiment](const PlanCell& cell) { return experiment(cell.config.seed); };
-  CollectSink sink;
-  // Legacy fail-fast contract: callers of this shim predate cell isolation
-  // and expect the first cell exception to propagate.
-  run_plan(plan, sink, jobs).rethrow_any();
-  return aggregate(sink.reports());
-}
-
-SweepSummary SeedSweep::aggregate(const std::vector<Report>& reports) {
-  if (reports.empty()) throw std::invalid_argument("SeedSweep: no reports to aggregate");
+SweepSummary aggregate_sweep(const std::vector<Report>& reports) {
+  if (reports.empty()) throw std::invalid_argument("aggregate_sweep: no reports to aggregate");
   SweepSummary summary;
   summary.routing = reports.front().routing;
   summary.runs = static_cast<int>(reports.size());
@@ -64,7 +34,7 @@ SweepSummary SeedSweep::aggregate(const std::vector<Report>& reports) {
   const std::size_t num_apps = reports.front().apps.size();
   for (const Report& report : reports) {
     if (report.apps.size() != num_apps) {
-      throw std::invalid_argument("SeedSweep: app sets differ across repetitions");
+      throw std::invalid_argument("aggregate_sweep: app sets differ across repetitions");
     }
     if (report.completed) ++summary.completed_runs;
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,9 +10,10 @@
 ///
 /// The paper reports run-to-run variation (Fig 4's whiskers are variation
 /// across ranks; production studies like Chunduri et al. report variation
-/// across runs). A SeedSweep repeats one experiment under different seeds —
-/// different random placements and traffic randomness — and aggregates every
-/// reported metric with mean / stddev / min / max / 95% CI, which the
+/// across runs). A seed sweep repeats one experiment under different seeds —
+/// different random placements and traffic randomness — as a run_plan
+/// campaign with a seeds axis (core/plan.hpp); aggregate_sweep reduces its
+/// Reports to mean / stddev / min / max / 95% CI per metric, which the
 /// ablation benches print alongside single-run numbers.
 namespace dfly {
 
@@ -56,37 +56,10 @@ struct SweepSummary {
   const AppSweep& app(const std::string& name) const;
 };
 
-/// Runs `experiment` once per seed and aggregates the Reports. The factory
-/// receives the seed and must build, run and return a finished Report (apps
-/// must match across repetitions; the first run defines the app set).
-class SeedSweep {
- public:
-  explicit SeedSweep(std::vector<std::uint64_t> seeds);
-  /// Convenience: seeds base, base+1, ..., base+n-1.
-  SeedSweep(std::uint64_t base_seed, int n);
-
-  /// `jobs` shards the per-seed cells across worker threads with
-  /// ParallelRunner semantics: > 0 = exactly that many workers, 0 (default)
-  /// = honour DFSIM_JOBS, else sequential. Each cell builds its own Engine
-  /// and Rng from its seed, and reports are collected into slots indexed by
-  /// seed position and aggregated in seed order — the summary is
-  /// bit-identical to a sequential run for any worker count.
-  ///
-  /// Deprecated-but-working shim: this is now a thin builder over the
-  /// unified campaign core (core/plan.hpp — a seeds-axis ExperimentPlan
-  /// with a custom cell runner). New code should build an ExperimentPlan
-  /// directly and use run_plan.
-  SweepSummary run(const std::function<Report(std::uint64_t seed)>& experiment,
-                   int jobs = 0) const;
-
-  const std::vector<std::uint64_t>& seeds() const { return seeds_; }
-
-  /// Aggregate already-collected reports (exposed for tests and for benches
-  /// that parallelise their own runs).
-  static SweepSummary aggregate(const std::vector<Report>& reports);
-
- private:
-  std::vector<std::uint64_t> seeds_;
-};
+/// Aggregate one experiment's Reports across repetitions (typically the
+/// seeds axis of a run_plan campaign, collected in cell order). Apps must
+/// match across reports; the first report defines the app set. Throws
+/// std::invalid_argument on an empty list or mismatched app sets.
+SweepSummary aggregate_sweep(const std::vector<Report>& reports);
 
 }  // namespace dfly

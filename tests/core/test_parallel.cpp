@@ -9,11 +9,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/blueprint.hpp"
 #include "core/json_report.hpp"
-#include "core/mixed.hpp"
 #include "core/pairwise.hpp"
+#include "core/plan.hpp"
 #include "core/study.hpp"
 #include "core/sweep.hpp"
 
@@ -172,13 +171,25 @@ TEST(ParallelRunner, HardwareJobsIsAtLeastOneAndMemoryCapped) {
   EXPECT_LE(jobs, cap);
 }
 
+/// A six-seed sweep of tiny_experiment's cell through run_plan, reduced the
+/// way `dflysim --sweep` reduces it.
+SweepSummary tiny_sweep(int jobs) {
+  ExperimentPlan plan;
+  plan.base = tiny_config();
+  plan.mode = PlanMode::kSingle;
+  plan.jobs = {{"UR", 32}};
+  plan.seeds = {42, 43, 44, 45, 46, 47};
+  CollectSink sink;
+  run_plan(plan, sink, jobs).rethrow_any();
+  return aggregate_sweep(sink.reports());
+}
+
 // The acceptance bar for the parallel sweep: four workers must produce a
 // SweepSummary whose JSON serialisation is byte-identical to a sequential
 // run — same seeds, same cells, same aggregation order.
 TEST(SweepParallelDeterminism, FourJobsByteIdenticalToSequential) {
-  const SeedSweep sweep(42, 6);
-  const SweepSummary sequential = sweep.run(tiny_experiment, 1);
-  const SweepSummary parallel = sweep.run(tiny_experiment, 4);
+  const SweepSummary sequential = tiny_sweep(1);
+  const SweepSummary parallel = tiny_sweep(4);
 
   EXPECT_EQ(sweep_to_json(sequential), sweep_to_json(parallel));
 
@@ -196,138 +207,23 @@ TEST(SweepParallelDeterminism, FourJobsByteIdenticalToSequential) {
   }
 }
 
-// Arena reuse must be invisible in the output: the same sweep with per-worker
-// storage reuse ON and OFF, and with one or four workers, serialises to the
-// same bytes. A state leak across a worker's cells would break this.
-TEST(SweepParallelDeterminism, ArenaOnAndOffByteIdenticalForAnyWorkerCount) {
-  struct ToggleGuard {
-    ~ToggleGuard() { set_arena_enabled(true); }
-  } guard;
-  const SeedSweep sweep(42, 6);
-
-  set_arena_enabled(true);
-  const std::string arena_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string arena_par = sweep_to_json(sweep.run(tiny_experiment, 4));
-
-  set_arena_enabled(false);
-  const std::string fresh_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string fresh_par = sweep_to_json(sweep.run(tiny_experiment, 4));
-
-  EXPECT_EQ(arena_seq, fresh_seq);
-  EXPECT_EQ(arena_seq, arena_par);
-  EXPECT_EQ(arena_seq, fresh_par);
-}
-
-// Blueprint sharing must be invisible in the output: the same sweep with
-// cross-cell plan sharing ON and OFF, with one or four workers, and in every
-// combination with arena reuse, serialises to the same bytes.
-TEST(SweepParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
-  struct ToggleGuard {
-    ~ToggleGuard() {
-      set_blueprint_enabled(true);
-      set_arena_enabled(true);
-    }
-  } guard;
-  const SeedSweep sweep(42, 6);
-
-  set_blueprint_enabled(true);
-  const std::string shared_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string shared_par = sweep_to_json(sweep.run(tiny_experiment, 4));
-
-  set_blueprint_enabled(false);
-  const std::string private_seq = sweep_to_json(sweep.run(tiny_experiment, 1));
-  const std::string private_par = sweep_to_json(sweep.run(tiny_experiment, 4));
-
-  EXPECT_EQ(shared_seq, private_seq);
-  EXPECT_EQ(shared_seq, shared_par);
-  EXPECT_EQ(shared_seq, private_par);
-
-  // The orthogonal knobs compose: arena off + blueprint off at four workers
-  // still reproduces the fully-shared bytes.
-  set_arena_enabled(false);
-  EXPECT_EQ(shared_seq, sweep_to_json(sweep.run(tiny_experiment, 4)));
-}
-
-TEST(PairwiseParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
-  struct ToggleGuard {
-    ~ToggleGuard() { set_blueprint_enabled(true); }
-  } guard;
-  std::vector<PairwiseCell> cells;
-  for (const char* routing : {"MIN", "UGALg"}) {
-    cells.push_back(PairwiseCell{"UR", "None", routing});
-    cells.push_back(PairwiseCell{"UR", "CosmoFlow", routing});
-  }
-  auto run_to_json = [&](int jobs) {
-    std::string out;
-    for (const PairwiseResult& result : run_pairwise_cells(tiny_config(), cells, jobs)) {
-      out += report_to_json(result.full);
-    }
-    return out;
-  };
-
-  set_blueprint_enabled(true);
-  const std::string shared_seq = run_to_json(1);
-  const std::string shared_par = run_to_json(4);
-  set_blueprint_enabled(false);
-  const std::string private_seq = run_to_json(1);
-  const std::string private_par = run_to_json(4);
-
-  EXPECT_EQ(shared_seq, private_seq);
-  EXPECT_EQ(shared_seq, shared_par);
-  EXPECT_EQ(shared_seq, private_par);
-}
-
-TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
-  // The Fig 10 driver needs the full 1,056-node machine (Table II node
-  // counts), so cap the simulated clock hard: the comparison needs identical
-  // bytes, not converged runs, and every truncated cell still exercises the
-  // shared plan through build, placement and early traffic.
-  struct ToggleGuard {
-    ~ToggleGuard() { set_blueprint_enabled(true); }
-  } guard;
-  StudyConfig config;
-  config.topo = DragonflyParams::paper();
-  config.routing = "UGALg";
-  config.scale = 256;
-  config.time_limit = 20 * kUs;
-  const std::vector<StudyConfig> configs{config};
-
-  auto run_to_json = [&](int jobs) {
-    std::string out;
-    for (const MixedSuite& suite : run_mixed_suites(configs, jobs)) {
-      out += report_to_json(suite.mix);
-      for (const Report& solo : suite.solos) out += report_to_json(solo);
-    }
-    return out;
-  };
-
-  set_blueprint_enabled(true);
-  const std::string shared_seq = run_to_json(1);
-  const std::string shared_par = run_to_json(4);
-  set_blueprint_enabled(false);
-  const std::string private_seq = run_to_json(1);
-  const std::string private_par = run_to_json(4);
-
-  EXPECT_EQ(shared_seq, private_seq);
-  EXPECT_EQ(shared_seq, shared_par);
-  EXPECT_EQ(shared_seq, private_par);
-}
-
+// A pairwise plan at two workers: every cell matches run_pairwise built
+// from scratch for the same routing, target and background.
 TEST(PairwiseParallelDeterminism, CellBatchMatchesIndividualRuns) {
-  std::vector<PairwiseCell> cells;
-  for (const char* routing : {"MIN", "UGALg"}) {
-    cells.push_back(PairwiseCell{"UR", "None", routing});
-    cells.push_back(PairwiseCell{"UR", "CosmoFlow", routing});
-  }
-  const std::vector<PairwiseResult> batch = run_pairwise_cells(tiny_config(), cells, 2);
-  ASSERT_EQ(batch.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    StudyConfig config = tiny_config(cells[i].routing);
-    const PairwiseResult solo = run_pairwise(config, cells[i].target, cells[i].background);
-    EXPECT_EQ(report_to_json(batch[i].full), report_to_json(solo.full)) << "cell " << i;
-    EXPECT_EQ(batch[i].routing, cells[i].routing);
-    EXPECT_EQ(batch[i].target, cells[i].target);
-    EXPECT_EQ(batch[i].background, cells[i].background);
+  ExperimentPlan plan;
+  plan.base = tiny_config();
+  plan.mode = PlanMode::kPairwise;
+  plan.routings = {"MIN", "UGALg"};
+  plan.targets = {"UR"};
+  plan.backgrounds = {"None", "CosmoFlow"};
+  CollectSink sink;
+  run_plan(plan, sink, 2).rethrow_any();
+  ASSERT_EQ(sink.reports().size(), 4u);
+  for (const PlanCell& cell : sink.cells()) {
+    const PairwiseResult solo =
+        run_pairwise(tiny_config(cell.config.routing), cell.target, cell.background);
+    EXPECT_EQ(report_to_json(sink.reports()[cell.index]), report_to_json(solo.full))
+        << "cell " << cell.index;
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the unified campaign core (core/plan.hpp): deterministic
-// expansion, streaming sinks, jobs-independence, config-file plans, and
-// byte-identical equivalence of the legacy driver shims (SeedSweep,
-// run_pairwise_cells, run_mixed_suites) with hand-rolled references.
+// expansion, streaming sinks, jobs-independence, config-file plans, and one
+// reference check per plan mode — run_plan's reused arenas and shared
+// blueprint cache against fresh direct library calls.
 
 #include "core/plan.hpp"
 
@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,8 +23,6 @@
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
 #include "core/pairwise.hpp"
-#include "core/parallel.hpp"
-#include "core/sweep.hpp"
 
 namespace dfly {
 namespace {
@@ -133,19 +133,6 @@ TEST(PlanExpansion, PairwiseProductIsTargetMajorWithinAxisPoint) {
   EXPECT_EQ(cells[2].target, "FFT3D");
   EXPECT_EQ(cells[4].config.routing, "UGALg");
   for (const PlanCell& cell : cells) EXPECT_EQ(cell.kind, PlanCellKind::kPairwise);
-}
-
-TEST(PlanExpansion, PairwiseListIsUsedVerbatim) {
-  ExperimentPlan plan;
-  plan.base = tiny_config("PAR");
-  plan.mode = PlanMode::kPairwise;
-  plan.pairwise_list = {{"UR", "", ""}, {"FFT3D", "None", "MIN"}, {"UR", "CosmoFlow", ""}};
-  const std::vector<PlanCell> cells = plan.expand();
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[0].background, "None");  // empty background normalised
-  EXPECT_EQ(cells[0].config.routing, "PAR");
-  EXPECT_EQ(cells[1].config.routing, "MIN");  // per-cell override
-  EXPECT_EQ(cells[2].background, "CosmoFlow");
 }
 
 TEST(PlanExpansion, MixedEmitsTheMixThenSolosInTable2Order) {
@@ -312,38 +299,17 @@ TEST(PlanParallelIsolation, ThrowingCellsAreRecordedAndSurvivorsMatchFreshRuns) 
   ASSERT_EQ(sink.failures().size(), 2u);
   EXPECT_EQ(sink.failures()[0].index, 2u);
 
-  // rethrow_any gives the legacy fail-fast surface the original exception.
+  // rethrow_any gives fail-fast drivers (dflysim --sweep) the original
+  // exception.
   EXPECT_THROW(outcome.rethrow_any(), std::runtime_error);
 
-  struct ToggleGuard {
-    ~ToggleGuard() {
-      set_arena_enabled(true);
-      set_blueprint_enabled(true);
-    }
-  } guard;
-  set_arena_enabled(false);
-  set_blueprint_enabled(false);
+  // The references run on the test thread, where no arena or cache is bound.
   ASSERT_EQ(sink.reports().size(), 6u);
   for (const std::size_t i : {0u, 1u, 3u, 5u}) {
     EXPECT_EQ(report_to_json(sink.reports()[i]),
               report_to_json(tiny_experiment(plan.seeds[i])))
         << "survivor cell " << i;
   }
-}
-
-TEST(PlanParallelIsolation, LegacyShimsStillFailFast) {
-  // The pre-isolation drivers (SeedSweep, pairwise, mixed shims) keep their
-  // contract: the first cell exception propagates out of run().
-  const SeedSweep sweep(1, 4);
-  EXPECT_THROW(sweep.run(
-                   [](std::uint64_t seed) -> Report {
-                     if (seed == 3) throw std::runtime_error("cell 3 failed");
-                     Report report;
-                     report.completed = true;
-                     return report;
-                   },
-                   2),
-               std::runtime_error);
 }
 
 TEST(PlanExecution, TransientFailuresAreRetriedUntilSuccess) {
@@ -617,75 +583,77 @@ TEST(PlanExecution, CustomCellsSeeTheResolvedConfig) {
   EXPECT_EQ(sink.reports()[3].routing, "PAR/6");
 }
 
-// --- legacy shims are byte-identical to hand-rolled references ---------------
+// --- one reference check per plan mode ----------------------------------------
 
-TEST(PlanShimParallelEquivalence, SeedSweepMatchesDirectParallelRunner) {
-  const SeedSweep sweep(42, 5);
-  // Pre-plan reference: ParallelRunner straight over the seed list.
-  for (const int jobs : {1, 4}) {
-    std::vector<Report> reports(sweep.seeds().size());
-    ParallelRunner(jobs).run_indexed(reports.size(), [&](std::size_t i) {
-      reports[i] = tiny_experiment(sweep.seeds()[i]);
-    });
-    const SweepSummary reference = SeedSweep::aggregate(reports);
-    const SweepSummary shimmed = sweep.run(tiny_experiment, jobs);
-    EXPECT_EQ(sweep_to_json(reference), sweep_to_json(shimmed)) << "jobs=" << jobs;
-  }
-}
+/// A plan of one mode, and the direct library call that computes one of its
+/// cells outside run_plan.
+struct PlanModeCase {
+  std::string name;
+  ExperimentPlan plan;
+  std::function<Report(const PlanCell&)> direct;
+};
 
-TEST(PlanShimParallelEquivalence, PairwiseCellsMatchDirectRuns) {
-  const StudyConfig base = tiny_config();
-  std::vector<PairwiseCell> cells;
-  for (const char* routing : {"MIN", "UGALg"}) {
-    cells.push_back(PairwiseCell{"UR", "None", routing});
-    cells.push_back(PairwiseCell{"UR", "CosmoFlow", routing});
-  }
-  cells.push_back(PairwiseCell{"FFT3D", "", ""});  // base routing, no background
-  for (const int jobs : {1, 4}) {
-    const std::vector<PairwiseResult> shimmed = run_pairwise_cells(base, cells, jobs);
-    ASSERT_EQ(shimmed.size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      StudyConfig config = base;
-      if (!cells[i].routing.empty()) config.routing = cells[i].routing;
-      const PairwiseResult reference = run_pairwise(config, cells[i].target, cells[i].background);
-      EXPECT_EQ(report_to_json(shimmed[i].full), report_to_json(reference.full))
-          << "jobs=" << jobs << " cell=" << i;
-      EXPECT_EQ(shimmed[i].routing, reference.routing);
-      EXPECT_EQ(shimmed[i].target, reference.target);
-      EXPECT_EQ(shimmed[i].background, reference.background);
-      EXPECT_EQ(report_to_json(Report{.routing = shimmed[i].routing,
-                                      .apps = {shimmed[i].target_report}}),
-                report_to_json(Report{.routing = reference.routing,
-                                      .apps = {reference.target_report}}));
-      EXPECT_EQ(shimmed[i].background_report.app, reference.background_report.app);
-    }
-  }
-}
+void PrintTo(const PlanModeCase& mode, std::ostream* out) { *out << mode.name; }
 
-TEST(PlanShimParallelEquivalence, MixedSuitesMatchDirectRuns) {
+std::vector<PlanModeCase> plan_mode_cases() {
+  PlanModeCase seeds{"seeds", {}, [](const PlanCell& cell) {
+                       return tiny_experiment(cell.config.seed);
+                     }};
+  seeds.plan.mode = PlanMode::kCustom;
+  seeds.plan.seeds = {42, 43, 44, 45, 46};
+  seeds.plan.custom = seeds.direct;
+
+  PlanModeCase pairwise{"pairwise", {}, [](const PlanCell& cell) {
+                          return run_pairwise(cell.config, cell.target, cell.background).full;
+                        }};
+  pairwise.plan.base = tiny_config();
+  pairwise.plan.mode = PlanMode::kPairwise;
+  pairwise.plan.routings = {"MIN", "UGALg"};
+  pairwise.plan.targets = {"UR"};
+  pairwise.plan.backgrounds = {"None", "CosmoFlow"};
+
   // Full paper machine (Table II node counts) with a hard clock cap: the
   // comparison needs identical bytes, not converged runs.
-  StudyConfig config;
-  config.topo = DragonflyParams::paper();
-  config.routing = "UGALg";
-  config.scale = 256;
-  config.time_limit = 20 * kUs;
-  const std::vector<StudyConfig> configs{config};
+  PlanModeCase mixed{"mixed", {}, [](const PlanCell& cell) {
+                       return cell.kind == PlanCellKind::kMixed
+                                  ? run_mixed(cell.config)
+                                  : run_mixed_solo(cell.config, cell.target);
+                     }};
+  mixed.plan.base.topo = DragonflyParams::paper();
+  mixed.plan.base.routing = "UGALg";
+  mixed.plan.base.scale = 256;
+  mixed.plan.base.time_limit = 20 * kUs;
+  mixed.plan.mode = PlanMode::kMixed;
+  mixed.plan.mixed_solos = true;
+  return {seeds, pairwise, mixed};
+}
 
-  std::string reference;
-  reference += report_to_json(run_mixed(config));
-  for (const MixedJobSpec& spec : table2_mix()) {
-    reference += report_to_json(run_mixed_solo(config, spec.app));
+class PlanModeReference : public ::testing::TestWithParam<PlanModeCase> {};
+
+// run_plan binds a SimArena per worker and one shared BlueprintCache; the
+// reference runs each cell's direct call fresh on the test thread, where
+// neither is bound. Storage reuse and plan sharing must never show in the
+// bytes, at one worker or at four.
+TEST_P(PlanModeReference, RunPlanMatchesFreshRuns) {
+  const PlanModeCase& mode = GetParam();
+  ASSERT_EQ(SimArena::current(), nullptr);
+  ASSERT_EQ(BlueprintCache::current(), nullptr);
+  std::string fresh;
+  for (const PlanCell& cell : mode.plan.expand()) {
+    fresh += report_to_json(mode.direct(cell)) + "\n";
   }
   for (const int jobs : {1, 4}) {
-    const std::vector<MixedSuite> suites = run_mixed_suites(configs, jobs);
-    ASSERT_EQ(suites.size(), 1u);
-    std::string shimmed = report_to_json(suites[0].mix);
-    for (const Report& solo : suites[0].solos) shimmed += report_to_json(solo);
-    EXPECT_EQ(shimmed, reference) << "jobs=" << jobs;
+    CollectSink sink;
+    const PlanOutcome outcome = run_plan(mode.plan, sink, jobs);
+    EXPECT_TRUE(outcome.failures.empty()) << "jobs=" << jobs;
+    std::string planned;
+    for (const Report& report : sink.reports()) planned += report_to_json(report) + "\n";
+    EXPECT_EQ(planned, fresh) << "jobs=" << jobs;
   }
-  EXPECT_TRUE(run_mixed_suites({}, 1).empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryMode, PlanModeReference, ::testing::ValuesIn(plan_mode_cases()),
+                         [](const auto& info) { return info.param.name; });
 
 // --- differently-shaped cells through one shared cache/arena -----------------
 
@@ -712,14 +680,7 @@ TEST(PlanParallelDeterminism, DifferentlyShapedVariantsThroughOneCacheMatchFresh
   CollectSink sink;
   run_plan(plan, sink, 4);
 
-  struct ToggleGuard {
-    ~ToggleGuard() {
-      set_arena_enabled(true);
-      set_blueprint_enabled(true);
-    }
-  } guard;
-  set_arena_enabled(false);
-  set_blueprint_enabled(false);
+  // run_plan_cell on the test thread: no arena or cache bound.
   for (const PlanCell& cell : sink.cells()) {
     EXPECT_EQ(report_to_json(sink.reports()[cell.index]),
               report_to_json(run_plan_cell(plan, cell)))

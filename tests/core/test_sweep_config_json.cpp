@@ -1,4 +1,4 @@
-// Tests for SeedSweep (core/sweep.hpp), ConfigFile (core/config_file.hpp)
+// Tests for aggregate_sweep (core/sweep.hpp), ConfigFile (core/config_file.hpp)
 // and the JSON report writer (core/json_report.hpp).
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/config_file.hpp"
 #include "core/json_report.hpp"
@@ -28,13 +29,17 @@ Report run_shift(std::uint64_t seed, const std::string& routing = "PAR") {
   return study.run();
 }
 
-// --- SeedSweep ---------------------------------------------------------------
+/// The reports of one seed sweep, in seed order.
+std::vector<Report> run_seeds(const std::vector<std::uint64_t>& seeds) {
+  std::vector<Report> reports;
+  for (const std::uint64_t seed : seeds) reports.push_back(run_shift(seed));
+  return reports;
+}
 
-TEST(SeedSweep, AggregatesAcrossSeeds) {
-  const SeedSweep sweep(100, 5);
-  ASSERT_EQ(sweep.seeds().size(), 5u);
-  EXPECT_EQ(sweep.seeds()[4], 104u);
-  const SweepSummary summary = sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+// --- aggregate_sweep -----------------------------------------------------------
+
+TEST(SweepAggregate, AggregatesAcrossSeeds) {
+  const SweepSummary summary = aggregate_sweep(run_seeds({100, 101, 102, 103, 104}));
   EXPECT_EQ(summary.runs, 5);
   EXPECT_EQ(summary.completed_runs, 5);
   ASSERT_EQ(summary.apps.size(), 1u);
@@ -48,26 +53,25 @@ TEST(SeedSweep, AggregatesAcrossSeeds) {
   EXPECT_GT(summary.makespan_ms.mean, 0.0);
 }
 
-TEST(SeedSweep, SingleSeedHasZeroCi) {
-  const SeedSweep sweep(7, 1);
-  const SweepSummary summary = sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+TEST(SweepAggregate, SingleSeedHasZeroCi) {
+  const SweepSummary summary = aggregate_sweep(run_seeds({7}));
   EXPECT_EQ(summary.apps[0].comm_ms.n, 1);
   EXPECT_EQ(summary.apps[0].comm_ms.ci95_half, 0.0);
   EXPECT_EQ(summary.apps[0].comm_ms.stddev, 0.0);
 }
 
-TEST(SeedSweep, IdenticalSeedsGiveZeroSpread) {
-  const SeedSweep sweep(std::vector<std::uint64_t>{42, 42, 42});
-  const SweepSummary summary = sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+TEST(SweepAggregate, IdenticalSeedsGiveZeroSpread) {
+  const SweepSummary summary = aggregate_sweep(run_seeds({42, 42, 42}));
   EXPECT_NEAR(summary.apps[0].comm_ms.stddev, 0.0, 1e-9);
   EXPECT_EQ(summary.makespan_ms.min, summary.makespan_ms.max);
 }
 
-TEST(SeedSweep, Validation) {
-  EXPECT_THROW(SeedSweep(std::vector<std::uint64_t>{}), std::invalid_argument);
-  EXPECT_THROW(SeedSweep(1, 0), std::invalid_argument);
-  EXPECT_THROW(SeedSweep::aggregate({}), std::invalid_argument);
-  const SweepSummary summary = SeedSweep::aggregate({run_shift(1)});
+TEST(SweepAggregate, Validation) {
+  EXPECT_THROW(aggregate_sweep({}), std::invalid_argument);
+  std::vector<Report> mismatched = run_seeds({1, 2});
+  mismatched[1].apps.clear();
+  EXPECT_THROW(aggregate_sweep(mismatched), std::invalid_argument);
+  const SweepSummary summary = aggregate_sweep(run_seeds({1}));
   EXPECT_THROW(summary.app("nope"), std::out_of_range);
   EXPECT_NO_THROW(summary.app("Shift"));
 }
@@ -311,6 +315,24 @@ TEST(ApplyConfig, NewHardeningKeysApply) {
   EXPECT_EQ(out.faults.faults()[1], (LinkFault{3, 4, 2, 0}));
 }
 
+// scale is an iteration divisor: 0 used to run silently at paper volumes and
+// a negative value at whatever the workloads made of it. Like plan.scales,
+// the key now rejects anything below 1 and names the line.
+TEST(ApplyConfig, ScaleBelowOneIsRejected) {
+  for (const char* bad : {"0", "-3"}) {
+    const ConfigFile cfg = ConfigFile::parse("# pad\nscale = " + std::string(bad) + "\n");
+    try {
+      apply_config(StudyConfig{}, cfg);
+      FAIL() << "expected invalid_argument for scale = " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos) << error.what();
+      EXPECT_NE(std::string(error.what()).find("'scale' must be >= 1"), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(apply_config(StudyConfig{}, ConfigFile::parse("scale = 1\n")).scale, 1);
+}
+
 TEST(ApplyConfig, ConfiguredStudyRuns) {
   const ConfigFile cfg = ConfigFile::parse(
       "topo.p = 2\ntopo.a = 4\ntopo.h = 2\ntopo.g = 9\nrouting = UGALg\n");
@@ -395,9 +417,7 @@ TEST(ReportJson, ContainsKeyMetrics) {
 }
 
 TEST(SweepJson, ContainsStats) {
-  const SeedSweep sweep(50, 3);
-  const SweepSummary summary =
-      sweep.run([](std::uint64_t seed) { return run_shift(seed); });
+  const SweepSummary summary = aggregate_sweep(run_seeds({50, 51, 52}));
   const std::string json = sweep_to_json(summary);
   EXPECT_NE(json.find("\"runs\":3"), std::string::npos);
   EXPECT_NE(json.find("\"ci95_half\""), std::string::npos);

@@ -160,6 +160,45 @@ TEST(CliSmoke, MalformedDfsimJobsEnvFailsLoudly) {
   std::remove(err_path.c_str());
 }
 
+// Numeric flags used to go through std::stoi/stoull, which read a prefix:
+// --jobs=4x ran 4 workers, --seed=-1 wrapped to 2^64-1, --scale=0 ran at
+// paper volumes and --app=UR:-4 filled the machine. Every value now goes
+// through the one strict integer rule and a bad one is a single fatal line
+// naming the flag. The tiny machine and a 1 ms clock cap keep any run that
+// slips through short (it would then exit 0 or 2, not 1).
+TEST(CliSmoke, MalformedNumericFlagsAreRejectedNamingTheFlag) {
+  const std::string base = temp_json_path();
+  const std::string config_path = base + ".tiny.cfg";
+  const std::string err_path = base + ".numeric_stderr";
+  {
+    std::ofstream out(config_path);
+    out << "topo.p = 2\ntopo.a = 4\ntopo.h = 2\ntopo.g = 9\ntime_limit_ms = 1\n";
+  }
+  const std::string prefix = "--config=" + config_path + " --routing=MIN ";
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {"--app=UR:8 --scale=64 --jobs=4x", "--jobs"},
+      {"--app=UR:8 --scale=64 --jobs=abc", "--jobs"},
+      {"--app=UR:8 --scale=64 --sweep=2x", "--sweep"},
+      {"--app=UR:8 --scale=64 --cell-threads=2x", "--cell-threads"},
+      {"--app=UR:8x --scale=64", "--app"},
+      {"--app=UR:-4 --scale=64", "--app"},
+      {"--app=UR:8 --scale=64 --seed=-1", "--seed"},
+      {"--app=UR:8 --scale=0", "--scale"},
+      {"--app=UR:8 --scale=-3", "--scale"},
+  };
+  for (const auto& bad : cases) {
+    EXPECT_EQ(run_cli(prefix + bad.args + " > /dev/null 2> " + err_path), 1) << bad.args;
+    const std::string err = slurp(err_path);
+    EXPECT_NE(err.find(bad.flag), std::string::npos) << bad.args << ": " << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << bad.args << ": " << err;
+  }
+  std::remove(config_path.c_str());
+  std::remove(err_path.c_str());
+}
+
 TEST(CliSmoke, PlanJobsWithNonPositiveNodesIsRejectedAtTheOffendingLine) {
   const char* dir = std::getenv("TMPDIR");
   const std::string base = std::string(dir != nullptr ? dir : "/tmp");

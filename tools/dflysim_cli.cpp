@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,8 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/arena.hpp"
-#include "core/blueprint.hpp"
 #include "core/config_file.hpp"
 #include "core/journal.hpp"
 #include "core/json_report.hpp"
@@ -154,13 +153,6 @@ struct CliOptions {
       "                       DFSIM_CELL_THREADS env var, else 1; output is\n"
       "                       byte-identical for any N; ineligible cells fall\n"
       "                       back to sequential; total threads ~ jobs x N)\n"
-      "  --no-arena           rebuild every sweep cell from scratch instead of\n"
-      "                       reusing per-worker arena storage (DFSIM_NO_ARENA\n"
-      "                       does the same; output is identical either way)\n"
-      "  --no-blueprint       build a private topology/wiring/routing plan per\n"
-      "                       cell instead of sharing one immutable\n"
-      "                       SystemBlueprint across workers (DFSIM_NO_BLUEPRINT\n"
-      "                       does the same; output is identical either way)\n"
       "  --json=FILE          write the report as JSON ('-' = stdout)\n"
       "  --csv=PREFIX         write <PREFIX>_{apps,congestion,stall}.csv\n"
       "  --trace=APP:FILE     record application APP's message trace to FILE\n"
@@ -176,11 +168,20 @@ struct CliOptions {
   std::exit(code);
 }
 
+/// A numeric flag value under the one strict integer rule (parse_uint); a
+/// rejected value is one fatal line naming the flag, exit 1.
+int int_flag(const char* flag, const std::string& value, int min) {
+  return static_cast<int>(
+      parse_uint_named(flag, value, static_cast<std::uint64_t>(min), INT_MAX));
+}
+
 AppSpec parse_app(const std::string& value) {
   const auto colon = value.find(':');
   AppSpec spec;
   spec.name = value.substr(0, colon);
-  if (colon != std::string::npos) spec.nodes = std::stoi(value.substr(colon + 1));
+  if (colon != std::string::npos) {
+    spec.nodes = int_flag("--app NODES", value.substr(colon + 1), 0);
+  }
   if (spec.name.empty()) throw std::invalid_argument("--app needs NAME[:NODES]");
   // Fail fast on a typo'd name — one clean line and exit 1, instead of
   // throwing out of make_app after the network has been built.
@@ -237,23 +238,17 @@ CliOptions parse_cli(int argc, char** argv) {
       options.config.topo.arrangement = arrangement_from_string(value_of(arg));
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       single_run("--seed");
-      options.config.seed = std::stoull(value_of(arg));
+      options.config.seed = parse_uint_named("--seed", value_of(arg));
     } else if (std::strncmp(arg, "--scale=", 8) == 0) {
       single_run("--scale");
-      options.config.scale = std::stoi(value_of(arg));
+      options.config.scale = int_flag("--scale", value_of(arg), 1);
     } else if (std::strncmp(arg, "--sweep=", 8) == 0) {
       single_run("--sweep");
-      options.sweep = std::stoi(value_of(arg));
+      options.sweep = int_flag("--sweep", value_of(arg), 1);
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      options.jobs = std::stoi(value_of(arg));
-      if (options.jobs < 0) options.jobs = 0;  // 0 = auto (DFSIM_JOBS, else 1)
+      options.jobs = int_flag("--jobs", value_of(arg), 0);  // 0 = auto (DFSIM_JOBS, else 1)
     } else if (std::strncmp(arg, "--cell-threads=", 15) == 0) {
-      options.cell_threads = std::stoi(value_of(arg));
-      if (options.cell_threads < 0) options.cell_threads = 0;  // 0 = auto
-    } else if (std::strcmp(arg, "--no-arena") == 0) {
-      set_arena_enabled(false);
-    } else if (std::strcmp(arg, "--no-blueprint") == 0) {
-      set_blueprint_enabled(false);
+      options.cell_threads = int_flag("--cell-threads", value_of(arg), 0);  // 0 = auto
     } else if (std::strncmp(arg, "--plan=", 7) == 0) {
       options.plan_path = value_of(arg);
     } else if (std::strncmp(arg, "--set=", 6) == 0) {
@@ -301,7 +296,7 @@ CliOptions parse_cli(int argc, char** argv) {
       const std::string value = value_of(arg);
       const auto colon = value.find(':');
       if (colon == std::string::npos) throw std::invalid_argument("--trace needs APP:FILE");
-      options.trace_app = std::stoi(value.substr(0, colon));
+      options.trace_app = int_flag("--trace APP", value.substr(0, colon), 0);
       options.trace_path = value.substr(colon + 1);
     } else {
       std::fprintf(stderr, "unknown option: %s\n\n", arg);
@@ -425,19 +420,18 @@ CliOptions parse_cli(int argc, char** argv) {
   return options;
 }
 
-Report run_once(const CliOptions& options, std::uint64_t seed, bool side_outputs) {
+Report run_once(const CliOptions& options) {
   StudyConfig config = options.config;
-  config.seed = seed;
   if (config.cell_threads == 0) config.cell_threads = options.cell_threads;
   Study study(std::move(config));
   for (const AppSpec& spec : options.apps) study.add_app(spec.name, spec.nodes);
-  if (side_outputs && options.trace_app >= 0) study.record_trace(options.trace_app);
+  if (options.trace_app >= 0) study.record_trace(options.trace_app);
   const Report report = study.run();
-  if (side_outputs && options.trace_app >= 0) {
+  if (options.trace_app >= 0) {
     study.trace(options.trace_app).save_csv(options.trace_path);
     std::fprintf(stderr, "wrote %s\n", options.trace_path.c_str());
   }
-  if (side_outputs && !options.csv_prefix.empty()) {
+  if (!options.csv_prefix.empty()) {
     study.write_csv(options.csv_prefix);
     std::fprintf(stderr, "wrote %s_{apps,congestion,stall}.csv\n", options.csv_prefix.c_str());
   }
@@ -668,7 +662,7 @@ int main(int argc, char** argv) {
     if (!options.merge_out.empty()) return run_merge(options);
     if (!options.plan_path.empty()) return run_campaign(options);
     if (options.sweep <= 1) {
-      const Report report = run_once(options, options.config.seed, /*side_outputs=*/true);
+      const Report report = run_once(options);
       print_table(report);
       if (!options.json_path.empty()) {
         const std::string json = report_to_json(report);
@@ -681,12 +675,24 @@ int main(int argc, char** argv) {
       }
       return report.completed ? 0 : 2;
     }
-    // Multi-seed sweep: the cells shard across --jobs workers (results are
-    // identical for any worker count); aggregate, print, optionally dump JSON.
-    const SeedSweep sweep(options.config.seed, options.sweep);
-    const SweepSummary summary = sweep.run(
-        [&options](std::uint64_t seed) { return run_once(options, seed, false); },
-        options.jobs);
+    // Multi-seed sweep: a single-mode plan over seeds seed..seed+N-1 whose
+    // cells shard across --jobs workers (results are identical for any
+    // worker count); fail fast on the first bad cell, then aggregate, print
+    // and optionally dump JSON.
+    ExperimentPlan plan;
+    plan.name = "seed_sweep";
+    plan.base = options.config;
+    plan.mode = PlanMode::kSingle;
+    for (const AppSpec& spec : options.apps) plan.jobs.push_back(PlanJob{spec.name, spec.nodes});
+    for (int i = 0; i < options.sweep; ++i) {
+      plan.seeds.push_back(options.config.seed + static_cast<std::uint64_t>(i));
+    }
+    RunPlanOptions run_options;
+    run_options.jobs = options.jobs;
+    run_options.cell_threads = options.cell_threads;
+    CollectSink cells;
+    run_plan(plan, cells, run_options).rethrow_any();
+    const SweepSummary summary = aggregate_sweep(cells.reports());
     viz::AsciiTable table({"app", "comm_ms mean", "ci95", "min", "max"});
     for (const AppSweep& app : summary.apps) {
       table.row(app.app, {app.comm_ms.mean, app.comm_ms.ci95_half, app.comm_ms.min,
