@@ -3,7 +3,7 @@
 # count (with its per-worker arena reuse and shared SystemBlueprint cache)
 # AND the intra-cell parallel engine must all be invisible in the output.
 # Reuse against a fresh build is byte-compared by test_arena's dirty-state
-# fuzz, the per-mode PlanModeReference test and bench_memory.
+# fuzz, the per-mode determinism tests in tests/core and bench_memory.
 # Invoked by the sweep_parallel_smoke test with -DDFLYSIM=<binary>
 # -DWORK_DIR=<build dir>.
 set(ARGS --app=UR:64 --scale=64 --seed=42 --sweep=4)

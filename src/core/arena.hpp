@@ -142,9 +142,8 @@ class SimArena {
 
   const ArenaStats& stats() const { return stats_; }
 
-  /// The arena bound to the calling thread (nullptr when none is bound or
-  /// arena reuse is globally disabled). ParallelRunner binds one per worker;
-  /// Study picks it up automatically.
+  /// The arena bound to the calling thread (nullptr when none is bound).
+  /// ParallelRunner binds one per worker; Study picks it up automatically.
   static SimArena* current();
 
  private:

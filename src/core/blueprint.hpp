@@ -163,9 +163,9 @@ class BlueprintCache {
   Stats stats() const;
   std::size_t size() const;
 
-  /// The cache bound to the calling thread (nullptr when none is bound or
-  /// blueprint sharing is globally disabled at bind time). ParallelRunner
-  /// binds one cache across all its workers; Study picks it up automatically.
+  /// The cache bound to the calling thread (nullptr when none is bound).
+  /// ParallelRunner binds one cache across all its workers; Study picks it
+  /// up automatically.
   static BlueprintCache* current();
 
  private:

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/blueprint.hpp"
 #include "core/json_report.hpp"
+#include "core/mixed.hpp"
 #include "core/pairwise.hpp"
 #include "core/plan.hpp"
 #include "core/study.hpp"
@@ -205,6 +208,122 @@ TEST(SweepParallelDeterminism, FourJobsByteIdenticalToSequential) {
     EXPECT_EQ(sequential.apps[a].comm_ms.mean, parallel.apps[a].comm_ms.mean);
     EXPECT_EQ(sequential.apps[a].lat_p99_us.max, parallel.apps[a].lat_p99_us.max);
   }
+}
+
+/// tiny_sweep's six cells run one after another on the calling thread under
+/// the given bindings (nullptr binds nothing), reduced the same way.
+std::string direct_sweep_json(SimArena* arena, BlueprintCache* cache) {
+  const ScopedArenaBinding arena_binding(arena);
+  const ScopedBlueprintCacheBinding cache_binding(cache);
+  std::vector<Report> reports;
+  for (std::uint64_t seed = 42; seed <= 47; ++seed) reports.push_back(tiny_experiment(seed));
+  return sweep_to_json(aggregate_sweep(reports));
+}
+
+// Arena reuse must be invisible in the output: the same sweep with storage
+// reuse ON (one arena carried across every cell; run_plan's per-worker
+// arenas at one and four workers) and OFF (fresh cells, nothing bound)
+// serialises to the same bytes. A state leak across cells would break this.
+TEST(SweepParallelDeterminism, ArenaOnAndOffByteIdenticalForAnyWorkerCount) {
+  ASSERT_EQ(SimArena::current(), nullptr);
+  const std::string fresh = direct_sweep_json(nullptr, nullptr);
+
+  SimArena arena;
+  EXPECT_EQ(direct_sweep_json(&arena, nullptr), fresh);
+  EXPECT_EQ(arena.stats().cells, 6u);  // one arena carried across all six cells
+  EXPECT_EQ(sweep_to_json(tiny_sweep(1)), fresh);
+  EXPECT_EQ(sweep_to_json(tiny_sweep(4)), fresh);
+}
+
+// Blueprint sharing must be invisible in the output: the same sweep with
+// cross-cell plan sharing ON (one cache across every cell; run_plan's shared
+// cache at one and four workers) and OFF (a private plan per cell), and in
+// combination with arena reuse, serialises to the same bytes.
+TEST(SweepParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
+  ASSERT_EQ(BlueprintCache::current(), nullptr);
+  const std::string fresh = direct_sweep_json(nullptr, nullptr);
+
+  BlueprintCache cache;
+  EXPECT_EQ(direct_sweep_json(nullptr, &cache), fresh);
+  EXPECT_EQ(cache.stats().misses, 1u);  // one shape, built once ...
+  EXPECT_EQ(cache.stats().hits, 5u);    // ... and shared by the other cells
+  EXPECT_EQ(sweep_to_json(tiny_sweep(1)), fresh);
+  EXPECT_EQ(sweep_to_json(tiny_sweep(4)), fresh);
+
+  // The two kinds of reuse compose.
+  SimArena arena;
+  EXPECT_EQ(direct_sweep_json(&arena, &cache), fresh);
+}
+
+TEST(PairwiseParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
+  ExperimentPlan plan;
+  plan.base = tiny_config();
+  plan.mode = PlanMode::kPairwise;
+  plan.routings = {"MIN", "UGALg"};
+  plan.targets = {"UR"};
+  plan.backgrounds = {"None", "CosmoFlow"};
+  const auto direct_json = [&](BlueprintCache* cache) {
+    const ScopedBlueprintCacheBinding binding(cache);
+    std::string out;
+    for (const PlanCell& cell : plan.expand()) {
+      out += report_to_json(run_pairwise(cell.config, cell.target, cell.background).full);
+    }
+    return out;
+  };
+  const auto planned_json = [&](int jobs) {
+    CollectSink sink;
+    run_plan(plan, sink, jobs).rethrow_any();
+    std::string out;
+    for (const Report& report : sink.reports()) out += report_to_json(report);
+    return out;
+  };
+
+  ASSERT_EQ(BlueprintCache::current(), nullptr);
+  const std::string fresh = direct_json(nullptr);
+  BlueprintCache cache;
+  EXPECT_EQ(direct_json(&cache), fresh);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_EQ(planned_json(1), fresh);
+  EXPECT_EQ(planned_json(4), fresh);
+}
+
+TEST(MixedParallelDeterminism, BlueprintOnAndOffByteIdenticalForAnyWorkerCount) {
+  // The Fig 10 driver needs the full 1,056-node machine (Table II node
+  // counts), so cap the simulated clock hard: the comparison needs identical
+  // bytes, not converged runs, and every truncated cell still exercises the
+  // shared plan through build, placement and early traffic.
+  StudyConfig config;
+  config.topo = DragonflyParams::paper();
+  config.routing = "UGALg";
+  config.scale = 256;
+  config.time_limit = 20 * kUs;
+  const auto direct_json = [&](BlueprintCache* cache) {
+    const ScopedBlueprintCacheBinding binding(cache);
+    std::string out = report_to_json(run_mixed(config));
+    for (const MixedJobSpec& spec : table2_mix()) {
+      out += report_to_json(run_mixed_solo(config, spec.app));
+    }
+    return out;
+  };
+  ExperimentPlan plan;
+  plan.base = config;
+  plan.mode = PlanMode::kMixed;
+  plan.mixed_solos = true;
+  const auto planned_json = [&](int jobs) {
+    CollectSink sink;
+    run_plan(plan, sink, jobs).rethrow_any();
+    std::string out;
+    for (const Report& report : sink.reports()) out += report_to_json(report);
+    return out;
+  };
+
+  ASSERT_EQ(BlueprintCache::current(), nullptr);
+  const std::string fresh = direct_json(nullptr);
+  BlueprintCache cache;
+  EXPECT_EQ(direct_json(&cache), fresh);
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_EQ(planned_json(1), fresh);
+  EXPECT_EQ(planned_json(4), fresh);
 }
 
 // A pairwise plan at two workers: every cell matches run_pairwise built

@@ -1,7 +1,7 @@
 // Tests for the unified campaign core (core/plan.hpp): deterministic
-// expansion, streaming sinks, jobs-independence, config-file plans, and one
-// reference check per plan mode — run_plan's reused arenas and shared
-// blueprint cache against fresh direct library calls.
+// expansion, streaming sinks, jobs-independence, config-file plans, and
+// byte-identical equivalence of each plan mode (seeds, pairwise, mixed) with
+// fresh direct library calls.
 
 #include "core/plan.hpp"
 
@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +21,8 @@
 #include "core/json_report.hpp"
 #include "core/mixed.hpp"
 #include "core/pairwise.hpp"
+#include "core/parallel.hpp"
+#include "core/sweep.hpp"
 
 namespace dfly {
 namespace {
@@ -583,77 +583,83 @@ TEST(PlanExecution, CustomCellsSeeTheResolvedConfig) {
   EXPECT_EQ(sink.reports()[3].routing, "PAR/6");
 }
 
-// --- one reference check per plan mode ----------------------------------------
+// --- each plan mode is byte-identical to its direct library calls ----------
+//
+// run_plan binds a SimArena per worker and one shared BlueprintCache; the
+// references run each cell's direct call fresh on the test thread, where
+// neither is bound. Storage reuse and plan sharing must never show in the
+// bytes, at one worker or at four. (These plan modes replaced the old
+// per-mode campaign runners; the test names are kept from that time.)
 
-/// A plan of one mode, and the direct library call that computes one of its
-/// cells outside run_plan.
-struct PlanModeCase {
-  std::string name;
+TEST(PlanShimParallelEquivalence, SeedSweepMatchesDirectParallelRunner) {
   ExperimentPlan plan;
-  std::function<Report(const PlanCell&)> direct;
-};
-
-void PrintTo(const PlanModeCase& mode, std::ostream* out) { *out << mode.name; }
-
-std::vector<PlanModeCase> plan_mode_cases() {
-  PlanModeCase seeds{"seeds", {}, [](const PlanCell& cell) {
-                       return tiny_experiment(cell.config.seed);
-                     }};
-  seeds.plan.mode = PlanMode::kCustom;
-  seeds.plan.seeds = {42, 43, 44, 45, 46};
-  seeds.plan.custom = seeds.direct;
-
-  PlanModeCase pairwise{"pairwise", {}, [](const PlanCell& cell) {
-                          return run_pairwise(cell.config, cell.target, cell.background).full;
-                        }};
-  pairwise.plan.base = tiny_config();
-  pairwise.plan.mode = PlanMode::kPairwise;
-  pairwise.plan.routings = {"MIN", "UGALg"};
-  pairwise.plan.targets = {"UR"};
-  pairwise.plan.backgrounds = {"None", "CosmoFlow"};
-
-  // Full paper machine (Table II node counts) with a hard clock cap: the
-  // comparison needs identical bytes, not converged runs.
-  PlanModeCase mixed{"mixed", {}, [](const PlanCell& cell) {
-                       return cell.kind == PlanCellKind::kMixed
-                                  ? run_mixed(cell.config)
-                                  : run_mixed_solo(cell.config, cell.target);
-                     }};
-  mixed.plan.base.topo = DragonflyParams::paper();
-  mixed.plan.base.routing = "UGALg";
-  mixed.plan.base.scale = 256;
-  mixed.plan.base.time_limit = 20 * kUs;
-  mixed.plan.mode = PlanMode::kMixed;
-  mixed.plan.mixed_solos = true;
-  return {seeds, pairwise, mixed};
+  plan.mode = PlanMode::kCustom;
+  plan.seeds = {42, 43, 44, 45, 46};
+  plan.custom = [](const PlanCell& cell) { return tiny_experiment(cell.config.seed); };
+  for (const int jobs : {1, 4}) {
+    // Reference: ParallelRunner straight over the seed list.
+    std::vector<Report> reports(plan.seeds.size());
+    ParallelRunner(jobs).run_indexed(reports.size(), [&](std::size_t i) {
+      reports[i] = tiny_experiment(plan.seeds[i]);
+    });
+    CollectSink sink;
+    EXPECT_TRUE(run_plan(plan, sink, jobs).failures.empty()) << "jobs=" << jobs;
+    EXPECT_EQ(sweep_to_json(aggregate_sweep(sink.reports())),
+              sweep_to_json(aggregate_sweep(reports)))
+        << "jobs=" << jobs;
+  }
 }
 
-class PlanModeReference : public ::testing::TestWithParam<PlanModeCase> {};
-
-// run_plan binds a SimArena per worker and one shared BlueprintCache; the
-// reference runs each cell's direct call fresh on the test thread, where
-// neither is bound. Storage reuse and plan sharing must never show in the
-// bytes, at one worker or at four.
-TEST_P(PlanModeReference, RunPlanMatchesFreshRuns) {
-  const PlanModeCase& mode = GetParam();
+TEST(PlanShimParallelEquivalence, PairwiseCellsMatchDirectRuns) {
   ASSERT_EQ(SimArena::current(), nullptr);
   ASSERT_EQ(BlueprintCache::current(), nullptr);
-  std::string fresh;
-  for (const PlanCell& cell : mode.plan.expand()) {
-    fresh += report_to_json(mode.direct(cell)) + "\n";
+  ExperimentPlan plan;
+  plan.base = tiny_config();
+  plan.mode = PlanMode::kPairwise;
+  plan.routings = {"MIN", "UGALg"};
+  plan.targets = {"UR", "FFT3D"};
+  plan.backgrounds = {"None", "CosmoFlow"};
+  std::string reference;
+  for (const PlanCell& cell : plan.expand()) {
+    reference += report_to_json(run_pairwise(cell.config, cell.target, cell.background).full);
+    reference += "\n";
   }
   for (const int jobs : {1, 4}) {
     CollectSink sink;
-    const PlanOutcome outcome = run_plan(mode.plan, sink, jobs);
-    EXPECT_TRUE(outcome.failures.empty()) << "jobs=" << jobs;
+    EXPECT_TRUE(run_plan(plan, sink, jobs).failures.empty()) << "jobs=" << jobs;
     std::string planned;
     for (const Report& report : sink.reports()) planned += report_to_json(report) + "\n";
-    EXPECT_EQ(planned, fresh) << "jobs=" << jobs;
+    EXPECT_EQ(planned, reference) << "jobs=" << jobs;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(EveryMode, PlanModeReference, ::testing::ValuesIn(plan_mode_cases()),
-                         [](const auto& info) { return info.param.name; });
+TEST(PlanShimParallelEquivalence, MixedSuitesMatchDirectRuns) {
+  // Full paper machine (Table II node counts) with a hard clock cap: the
+  // comparison needs identical bytes, not converged runs.
+  ASSERT_EQ(SimArena::current(), nullptr);
+  ASSERT_EQ(BlueprintCache::current(), nullptr);
+  ExperimentPlan plan;
+  plan.base.topo = DragonflyParams::paper();
+  plan.base.routing = "UGALg";
+  plan.base.scale = 256;
+  plan.base.time_limit = 20 * kUs;
+  plan.mode = PlanMode::kMixed;
+  plan.mixed_solos = true;
+
+  // Reference: the mix, then one solo baseline per Table II app.
+  std::string reference = report_to_json(run_mixed(plan.base)) + "\n";
+  for (const MixedJobSpec& spec : table2_mix()) {
+    reference += report_to_json(run_mixed_solo(plan.base, spec.app)) + "\n";
+  }
+  for (const int jobs : {1, 4}) {
+    CollectSink sink;
+    EXPECT_TRUE(run_plan(plan, sink, jobs).failures.empty()) << "jobs=" << jobs;
+    ASSERT_EQ(sink.reports().size(), table2_mix().size() + 1) << "jobs=" << jobs;
+    std::string planned;
+    for (const Report& report : sink.reports()) planned += report_to_json(report) + "\n";
+    EXPECT_EQ(planned, reference) << "jobs=" << jobs;
+  }
+}
 
 // --- differently-shaped cells through one shared cache/arena -----------------
 
